@@ -12,7 +12,6 @@ from .errors import (
     ContextProbError,
     DegenerateContext,
     DegenerateData,
-    DegenerateDenominator,
     InvariantViolation,
     NoPhase,
     NotDoublyStochastic,
@@ -52,7 +51,6 @@ from .interference import (
     analyze_interference,
     branch_probabilities,
     classify,
-    interference_coefficients,
     phases,
 )
 from .hyperbolic import HyperbolicNumber, exp_j
@@ -91,7 +89,6 @@ __all__ = [
     "ContextualStatistics",
     "DegenerateContext",
     "DegenerateData",
-    "DegenerateDenominator",
     "Distribution",
     "ExperimentModel",
     "FrequencyTable",
@@ -128,7 +125,6 @@ __all__ = [
     "filter_context",
     "hyperbolic_amplitude",
     "ingest_contingency_table",
-    "interference_coefficients",
     "is_contextually_sensitive",
     "load_model",
     "load_report",

@@ -22,11 +22,7 @@ import numpy as np
 from .dynamics import ContextualStatistics
 from .errors import InvariantViolation, NotDoublyStochastic, WrongRegime
 from .hyperbolic import HyperbolicNumber, exp_j
-from .interference import (
-    Classification,
-    InterferenceReport,
-    branch_probabilities,
-)
+from .interference import Classification, InterferenceReport
 
 DOUBLY_STOCHASTIC_TOLERANCE = 1e-10
 
@@ -60,9 +56,7 @@ def _require_regime(report: InterferenceReport, wanted: Classification) -> None:
         )
 
 
-def trigonometric_amplitude(
-    statistics: ContextualStatistics, report: InterferenceReport
-) -> ComplexAmplitudeVector:
+def trigonometric_amplitude(report: InterferenceReport) -> ComplexAmplitudeVector:
     """Complex amplitudes for a fully trigonometric report.
 
     Raises :class:`WrongRegime` if any outcome is hyperbolic or degenerate.
@@ -76,9 +70,7 @@ def trigonometric_amplitude(
     return ComplexAmplitudeVector(components)
 
 
-def hyperbolic_amplitude(
-    statistics: ContextualStatistics, report: InterferenceReport
-) -> HyperbolicAmplitudeVector:
+def hyperbolic_amplitude(report: InterferenceReport) -> HyperbolicAmplitudeVector:
     """Split-complex amplitudes for a fully hyperbolic report.
 
     Raises :class:`WrongRegime` if any outcome is trigonometric or

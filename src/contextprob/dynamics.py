@@ -51,16 +51,21 @@ class PerturbationKernel:
             raise InvariantViolation(
                 f"kernel must be a square matrix, got shape {m.shape}"
             )
-        if not np.all(np.isfinite(m)):
-            raise InvariantViolation("kernel entries must be finite")
-        if np.any(m < 0.0):
-            raise InvariantViolation("kernel entries must be non-negative")
+        finite = np.isfinite(m).all(axis=1)
+        non_negative = (m >= 0.0).all(axis=1)
         row_sums = m.sum(axis=1)
-        worst = int(np.argmax(np.abs(row_sums - 1.0)))
-        if abs(row_sums[worst] - 1.0) > WEIGHT_TOLERANCE:
-            raise InvariantViolation(
-                f"kernel row {worst} sums to {row_sums[worst]!r}, expected 1"
-            )
+        bad = np.flatnonzero(
+            ~(finite & non_negative & (np.abs(row_sums - 1.0) <= WEIGHT_TOLERANCE))
+        )
+        if bad.size:
+            i = int(bad[0])
+            if not finite[i]:
+                message = "entries must be finite"
+            elif not non_negative[i]:
+                message = "entries must be non-negative"
+            else:
+                message = f"row sums to {float(row_sums[i])!r}, expected 1"
+            raise InvariantViolation(message, path=f"kernel.row[{i}]")
         object.__setattr__(self, "matrix", _frozen_array(m))
 
     @classmethod
@@ -94,22 +99,23 @@ def transition_probabilities(
     context: Context,
     selector: RandomVariable,
     outcome: RandomVariable,
-    kernel: PerturbationKernel,
+    kernel: PerturbationKernel | None,
 ) -> np.ndarray:
     """Matrix of outcome probabilities after selecting each selector value.
 
-    Row ``i`` is the distribution of the outcome variable once the context
-    has been filtered to selector value ``i`` and the kernel applied.  Raises
-    :class:`DegenerateContext` when some selector value has no weight in the
-    context.
+    Row ``i`` is :func:`measurement_distribution` of the outcome variable
+    with the context filtered to selector value ``i`` and the kernel (if
+    any) applied.  Raises :class:`DegenerateContext` when some selector
+    value has no weight in the context.
     """
-    rows = []
-    for value in selector.alphabet:
-        filtered = filter_context(space, context, selector, value)
-        conditional = conditional_distribution(space, filtered)
-        disturbed = apply_kernel(space, conditional, kernel)
-        rows.append(pushforward(outcome, disturbed.masses).masses)
-    return np.array(rows)
+    return np.array(
+        [
+            measurement_distribution(
+                space, context, outcome, kernel, selector, value
+            ).masses
+            for value in selector.alphabet
+        ]
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,9 +183,12 @@ def contextual_statistics(
     context: Context,
     selector: RandomVariable,
     outcome: RandomVariable,
-    kernel: PerturbationKernel,
+    kernel: PerturbationKernel | None,
 ) -> ContextualStatistics:
-    """Measure both marginals kernel-free and the transition with the kernel."""
+    """Measure both marginals kernel-free and the transition with the kernel.
+
+    ``kernel=None`` means the measurement does not disturb the context.
+    """
     for role, variable in (("selector", selector), ("outcome", outcome)):
         if len(variable.alphabet) != 2:
             raise TypeMismatch(
@@ -227,7 +236,10 @@ def measurement_distribution(
     disturbance kernel before reading off the variable.  This is the
     distribution that :func:`sample_frequencies` draws from.
     """
-    if (selector is None) != (selector_value is None):
+    # None is a legitimate selector value when the selector takes it.
+    if (selector is None) != (selector_value is None) and (
+        selector is None or None not in selector.alphabet
+    ):
         raise InvariantViolation(
             "selector and selector_value must be given together"
         )

@@ -37,18 +37,6 @@ class UnknownValue(ContextProbError, LookupError):
     """A value that is not in the variable's alphabet."""
 
 
-class DegenerateDenominator(ContextProbError):
-    """An interference denominator vanished because a branch probability is 0.
-
-    ``selector_index`` and ``outcome_index`` identify the zero branch.
-    """
-
-    def __init__(self, message: str, selector_index: int, outcome_index: int):
-        self.selector_index = selector_index
-        self.outcome_index = outcome_index
-        super().__init__(message)
-
-
 class NoPhase(ContextProbError):
     """Phase requested for a degenerate classification."""
 

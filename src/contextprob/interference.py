@@ -30,7 +30,7 @@ from typing import Hashable
 import numpy as np
 
 from .dynamics import ContextualStatistics
-from .errors import DegenerateDenominator, InvariantViolation, NoPhase
+from .errors import InvariantViolation, NoPhase
 
 DEFAULT_CLASSIFY_TOLERANCE = 1e-9
 
@@ -54,39 +54,23 @@ def branch_probabilities(statistics: ContextualStatistics) -> np.ndarray:
     )
 
 
-def interference_coefficients(
-    statistics: ContextualStatistics,
-) -> tuple[tuple[float, float], np.ndarray]:
-    """Both interference coefficients plus the branch probability matrix.
+def _sqrt_product(first: float, second: float) -> float:
+    """``sqrt(first * second)`` without forming the product, which can underflow.
 
-    Raises :class:`DegenerateDenominator` if any branch probability is zero;
-    use :func:`analyze_interference` to get degenerate outcomes reported as
-    first-class results instead.
+    Each factor is split into mantissa and exponent; the exponents are halved
+    exactly, so the result equals ``math.sqrt(first * second)`` bit for bit
+    whenever that product is a normal float.
     """
-    branches = branch_probabilities(statistics)
-    for j in range(2):
-        for i in range(2):
-            if branches[i, j] == 0.0:
-                raise DegenerateDenominator(
-                    f"branch probability for selector "
-                    f"{statistics.selector_labels[i]!r} and outcome "
-                    f"{statistics.outcome_labels[j]!r} is zero",
-                    selector_index=i,
-                    outcome_index=j,
-                )
-    coefficients = tuple(
-        _coefficient(
-            float(statistics.outcome_marginals[j]),
-            float(branches[0, j]),
-            float(branches[1, j]),
-        )
-        for j in range(2)
-    )
-    return coefficients, branches
+    m1, e1 = math.frexp(first)
+    m2, e2 = math.frexp(second)
+    mantissa, exponent = m1 * m2, e1 + e2
+    if exponent % 2:
+        mantissa, exponent = 2.0 * mantissa, exponent - 1
+    return math.ldexp(math.sqrt(mantissa), exponent // 2)
 
 
 def _coefficient(observed: float, first: float, second: float) -> float:
-    return (observed - first - second) / (2.0 * math.sqrt(first * second))
+    return (observed - first - second) / (2.0 * _sqrt_product(first, second))
 
 
 def classify(
@@ -142,7 +126,7 @@ class OutcomeInterference:
         """Observed marginal rebuilt from branches, phase, and sign."""
         if self.classification is Classification.DEGENERATE:
             raise NoPhase("a degenerate outcome has no reconstruction")
-        cross = 2.0 * math.sqrt(self.branches[0] * self.branches[1])
+        cross = 2.0 * _sqrt_product(*self.branches)
         if self.classification is Classification.TRIGONOMETRIC:
             return self.branches[0] + self.branches[1] + cross * math.cos(self.phase)
         return (
@@ -187,21 +171,12 @@ def analyze_interference(
         observed = float(statistics.outcome_marginals[j])
         pair = (float(branches[0, j]), float(branches[1, j]))
         if pair[0] == 0.0 or pair[1] == 0.0:
-            entries.append(
-                OutcomeInterference(
-                    outcome=label,
-                    observed=observed,
-                    branches=pair,
-                    coefficient=None,
-                    classification=Classification.DEGENERATE,
-                    phase=None,
-                    sign=None,
-                )
-            )
-            continue
-        coefficient = _coefficient(observed, pair[0], pair[1])
-        kind = classify(coefficient, tolerance)
-        phase, sign = phases(coefficient, kind)
+            coefficient = phase = sign = None
+            kind = Classification.DEGENERATE
+        else:
+            coefficient = _coefficient(observed, pair[0], pair[1])
+            kind = classify(coefficient, tolerance)
+            phase, sign = phases(coefficient, kind)
         entries.append(
             OutcomeInterference(
                 outcome=label,

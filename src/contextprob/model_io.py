@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from dataclasses import dataclass
 from typing import Any
 
@@ -42,6 +43,10 @@ _MODEL_KEYS = {
     "options",
 }
 _OPTION_KEYS = {"classify_tolerance", "sensitivity_tolerance", "sample_size", "seed"}
+# Counts, and so their sums, must stay finite as floats.
+_MAX_COUNT = sys.float_info.max
+# A bool is an int to isinstance, but not a number in a document.
+_NUMBER_TYPES = {int, float}
 
 
 @dataclass(frozen=True)
@@ -74,10 +79,9 @@ class ExperimentModel:
     def outcome(self) -> RandomVariable:
         return self.variables[self.outcome_name]
 
-    def effective_kernel(self) -> PerturbationKernel:
-        if self.kernel is not None:
-            return self.kernel
-        return PerturbationKernel.identity(self.prespace.size)
+    def effective_kernel(self) -> PerturbationKernel | None:
+        """The kernel the measurement applies; None means no disturbance."""
+        return self.kernel
 
 
 def _fail(path: str, message: str) -> None:
@@ -85,9 +89,25 @@ def _fail(path: str, message: str) -> None:
 
 
 def _require_number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if type(value) not in _NUMBER_TYPES:
         _fail(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        _fail(path, "number is too large for a float")
+
+
+def _number_array(values: list, path: str) -> np.ndarray:
+    """A JSON list of numbers as floats; the first bad entry is located.
+
+    The entries are checked together, and one by one only when that fails.
+    """
+    if set(map(type, values)) <= _NUMBER_TYPES:
+        try:
+            return np.array(values, dtype=float)
+        except OverflowError:
+            pass
+    return np.array([_require_number(x, f"{path}[{i}]") for i, x in enumerate(values)])
 
 
 def _require_int(value: Any, path: str) -> int:
@@ -101,7 +121,7 @@ def load_model(data: bytes | str) -> ExperimentModel:
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal beyond int()'s digit limit
         raise InvariantViolation(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         _fail("$", "model document must be a JSON object")
@@ -114,7 +134,7 @@ def load_model(data: bytes | str) -> ExperimentModel:
     weights = doc.get("weights")
     if not isinstance(weights, list) or not weights:
         _fail("weights", "expected a non-empty list of numbers")
-    weights = [_require_number(w, f"weights[{i}]") for i, w in enumerate(weights)]
+    weights = _number_array(weights, "weights")
 
     points = doc.get("points")
     if points is None:
@@ -178,17 +198,13 @@ def load_model(data: bytes | str) -> ExperimentModel:
     if raw_kernel is not None:
         if not isinstance(raw_kernel, list) or len(raw_kernel) != prespace.size:
             _fail("kernel", f"expected {prespace.size} rows")
+        matrix = np.empty((prespace.size, prespace.size))
         for i, row in enumerate(raw_kernel):
-            path = f"kernel.row[{i}]"
             if not isinstance(row, list) or len(row) != prespace.size:
-                _fail(path, f"expected {prespace.size} entries")
-            entries = [_require_number(x, f"{path}[{j}]") for j, x in enumerate(row)]
-            if any(x < 0.0 for x in entries):
-                _fail(path, "entries must be non-negative")
-            total = float(np.sum(np.asarray(entries)))
-            if abs(total - 1.0) > 1e-12:
-                _fail(path, f"row sums to {total!r}, expected 1")
-        kernel = PerturbationKernel(raw_kernel)
+                _fail(f"kernel.row[{i}]", f"expected {prespace.size} entries")
+            matrix[i] = _number_array(row, f"kernel.row[{i}]")
+        # PerturbationKernel checks the numeric invariants and names the row.
+        kernel = PerturbationKernel(matrix)
 
     options = _load_options(doc.get("options"))
     return ExperimentModel(
@@ -230,6 +246,19 @@ def _load_options(raw: Any) -> AnalysisOptions:
     return AnalysisOptions(**fields)
 
 
+def _count(raw: str, path: str) -> int:
+    """A table count: ASCII digits only, and small enough for a float."""
+    digits = raw.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        _fail(path, f"count must be an integer, got {raw!r}")
+    if digits != raw:
+        _fail(path, f"count must be non-negative, got {raw}")
+    if float(digits) > _MAX_COUNT:
+        _fail(path, "count is too large for a float")
+    # Leading zeros would count against int()'s digit limit.
+    return int(digits.lstrip("0") or "0")
+
+
 def ingest_contingency_table(data: bytes | str) -> ContextualStatistics:
     """Normalize raw counts from a contingency table into statistics.
 
@@ -258,12 +287,7 @@ def ingest_contingency_table(data: bytes | str) -> ContextualStatistics:
         experiment, selector_value, outcome_value, raw_count = (
             field.strip() for field in row
         )
-        try:
-            count = int(raw_count)
-        except ValueError:
-            _fail(path, f"count must be an integer, got {raw_count!r}")
-        if count < 0:
-            _fail(path, f"count must be non-negative, got {count}")
+        count = _count(raw_count, path)
         if not outcome_value:
             _fail(path, "outcome_b must not be empty")
         if outcome_value not in outcome_order:
@@ -294,6 +318,10 @@ def ingest_contingency_table(data: bytes | str) -> ContextualStatistics:
             "outcome_a",
             f"expected exactly 2 selector values, found {selector_order!r}",
         )
+
+    for counts in (direct_counts, sequential_counts):
+        if sum(counts.values()) > _MAX_COUNT:
+            _fail("count", "counts sum to more than a float can hold")
 
     direct = np.array(
         [direct_counts.get(value, 0) for value in outcome_order], dtype=float

@@ -73,11 +73,11 @@ def analyze_statistics(
     components: tuple[tuple[float, float], ...] | None = None
     residual: float | None = None
     if regime == "trigonometric":
-        amplitude = trigonometric_amplitude(statistics, report)
+        amplitude = trigonometric_amplitude(report)
         components = tuple((z.real, z.imag) for z in amplitude.components)
         residual = born_residual(amplitude, statistics)
     elif regime == "hyperbolic":
-        amplitude = hyperbolic_amplitude(statistics, report)
+        amplitude = hyperbolic_amplitude(report)
         components = tuple((z.x, z.y) for z in amplitude.components)
         residual = born_residual(amplitude, statistics)
     return AnalysisReport(

@@ -17,6 +17,7 @@ from contextprob import (
     PerturbationKernel,
     Prespace,
     RandomVariable,
+    analyze_interference,
     branch_probabilities,
     contextual_statistics,
 )
@@ -65,6 +66,11 @@ def random_perturbed_model(rng, max_points=16, identity=False, numeric=False):
         stats = contextual_statistics(space, context, selector, outcome, kernel)
         if float(branch_probabilities(stats).min()) >= BRANCH_FLOOR:
             return space, selector, outcome, context, kernel, stats
+
+
+def coefficients(statistics):
+    """Both interference coefficients, as the analysis entries carry them."""
+    return tuple(entry.coefficient for entry in analyze_interference(statistics).entries)
 
 
 def _statistics_from_coefficient(selector_marginals, transition, lam_1):

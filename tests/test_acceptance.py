@@ -29,8 +29,8 @@ from contextprob import (
     born_residual,
     canonical_json,
     expectation_and_dispersion,
+    branch_probabilities,
     hyperbolic_amplitude,
-    interference_coefficients,
     is_contextually_sensitive,
     measurement_distribution,
     sample_frequencies,
@@ -41,6 +41,7 @@ from contextprob.interference import Classification
 
 from synth import (
     brute_force_lambdas,
+    coefficients,
     doubly_stochastic_statistics,
     random_hyperbolic_statistics,
     random_perturbed_model,
@@ -94,7 +95,7 @@ def hyperbolic_pool():
 def test_criterion_01_classical_limit():
     started = time.perf_counter()
     for stats in identity_statistics_pool():
-        (lam_1, lam_2), _ = interference_coefficients(stats)
+        lam_1, lam_2 = coefficients(stats)
         assert abs(lam_1) <= 1e-12 and abs(lam_2) <= 1e-12
         assert not is_contextually_sensitive(stats)
     assert time.perf_counter() - started < 5.0
@@ -108,7 +109,7 @@ def test_criterion_02_trigonometric_identity():
         assert report.regime == "trigonometric"
         for entry in report.entries:
             assert abs(entry.reconstructed() - entry.observed) <= 1e-10
-        amplitude = trigonometric_amplitude(stats, report)
+        amplitude = trigonometric_amplitude(report)
         assert born_residual(amplitude, stats) <= 1e-10
     assert time.perf_counter() - started < 5.0
 
@@ -121,7 +122,7 @@ def test_criterion_03_hyperbolic_identity():
         assert report.regime == "hyperbolic"
         for entry in report.entries:
             assert abs(entry.reconstructed() - entry.observed) <= 1e-10
-        amplitude = hyperbolic_amplitude(stats, report)
+        amplitude = hyperbolic_amplitude(report)
         assert born_residual(amplitude, stats) <= 1e-10
     assert time.perf_counter() - started < 5.0
 
@@ -130,7 +131,8 @@ def test_criterion_03_hyperbolic_identity():
 def test_criterion_04_normalization_identity():
     pools = identity_statistics_pool() + trigonometric_pool() + hyperbolic_pool()
     for stats in pools:
-        (lam_1, lam_2), branches = interference_coefficients(stats)
+        lam_1, lam_2 = coefficients(stats)
+        branches = branch_probabilities(stats)
         gap = abs(
             math.sqrt(branches[0, 0] * branches[1, 0]) * lam_1
             + math.sqrt(branches[0, 1] * branches[1, 1]) * lam_2
@@ -147,7 +149,7 @@ def test_criterion_05_worked_hyperbolic_case():
         outcome_marginals=(0.95, 0.05),
         transition=[[0.8, 0.2], [0.2, 0.8]],
     )
-    (lam_1, lam_2), _ = interference_coefficients(stats)
+    lam_1, lam_2 = coefficients(stats)
     assert lam_1 == pytest.approx(1.125, abs=1e-12)
     assert lam_2 == pytest.approx(-1.125, abs=1e-12)
     report = analyze_interference(stats)
@@ -167,7 +169,7 @@ def test_criterion_06_brute_force_equivalence():
             rng, max_points=16
         )
         expected = brute_force_lambdas(space, context, selector, outcome, kernel)
-        (lam_1, lam_2), _ = interference_coefficients(stats)
+        lam_1, lam_2 = coefficients(stats)
         assert lam_1 == pytest.approx(expected[0], abs=1e-12)
         assert lam_2 == pytest.approx(expected[1], abs=1e-12)
 

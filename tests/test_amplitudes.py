@@ -104,7 +104,7 @@ class TestHyperbolicAlgebra:
 class TestTrigonometricAmplitude:
     def test_half_half_components(self):
         stats = half_half_statistics()
-        amplitude = trigonometric_amplitude(stats, analyze_interference(stats))
+        amplitude = trigonometric_amplitude(analyze_interference(stats))
         first, second = amplitude.components
         # sqrt(1/4) + exp(i*pi/3) * sqrt(1/4) and its 2*pi/3 partner
         assert first == pytest.approx(0.75 + 0.4330127018922193j, abs=1e-12)
@@ -117,19 +117,19 @@ class TestTrigonometricAmplitude:
         rng = np.random.default_rng(59)
         for _ in range(300):
             stats = random_trigonometric_statistics(rng)
-            amplitude = trigonometric_amplitude(stats, analyze_interference(stats))
+            amplitude = trigonometric_amplitude(analyze_interference(stats))
             assert born_residual(amplitude, stats) <= 1e-10
 
     def test_rejects_hyperbolic_report(self):
         stats = lopsided_statistics()
         with pytest.raises(WrongRegime):
-            trigonometric_amplitude(stats, analyze_interference(stats))
+            trigonometric_amplitude(analyze_interference(stats))
 
 
 class TestHyperbolicAmplitude:
     def test_lopsided_moduli(self):
         stats = lopsided_statistics()
-        amplitude = hyperbolic_amplitude(stats, analyze_interference(stats))
+        amplitude = hyperbolic_amplitude(analyze_interference(stats))
         np.testing.assert_allclose(
             amplitude.born_probabilities(), (0.95, 0.05), atol=1e-12
         )
@@ -140,13 +140,13 @@ class TestHyperbolicAmplitude:
         rng = np.random.default_rng(61)
         for _ in range(300):
             stats = random_hyperbolic_statistics(rng)
-            amplitude = hyperbolic_amplitude(stats, analyze_interference(stats))
+            amplitude = hyperbolic_amplitude(analyze_interference(stats))
             assert born_residual(amplitude, stats) <= 1e-10
 
     def test_rejects_trigonometric_report(self):
         stats = half_half_statistics()
         with pytest.raises(WrongRegime):
-            hyperbolic_amplitude(stats, analyze_interference(stats))
+            hyperbolic_amplitude(analyze_interference(stats))
 
 
 class TestBornResidual:
@@ -157,7 +157,7 @@ class TestBornResidual:
 
     def test_corrupted_component_shows_up(self):
         stats = half_half_statistics()
-        amplitude = trigonometric_amplitude(stats, analyze_interference(stats))
+        amplitude = trigonometric_amplitude(analyze_interference(stats))
         bumped = ComplexAmplitudeVector(
             (amplitude.components[0] + 0.1, amplitude.components[1])
         )

@@ -84,11 +84,31 @@ class TestAnalyze:
         assert json.loads(out)["seed"] == 99
 
     def test_malformed_model_exits_2(self, tmp_path, capsysbinary):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"schema": 2}')
-        code, _, err = run(["analyze", "--model", str(bad)], capsysbinary)
-        assert code == 2
-        assert err.startswith(b"error:")
+        classical = json.loads((EXAMPLES / "classical.json").read_text())
+        huge_weight = dict(classical, weights=[10**400] + classical["weights"][1:])
+        huge_kernel = json.loads((EXAMPLES / "perturbed.json").read_text())
+        huge_kernel["kernel"][0][0] = 10**400
+        for text in (
+            '{"schema": 2}',
+            json.dumps(huge_weight),
+            json.dumps(huge_kernel),
+            '{"schema": 1, "weights": [1' + "0" * 5000 + "]}",
+        ):
+            bad = tmp_path / "bad.json"
+            bad.write_text(text)
+            code, _, err = run(["analyze", "--model", str(bad)], capsysbinary)
+            assert code == 2
+            assert err.startswith(b"error:") and err.count(b"\n") == 1
+
+    def test_tiny_branches_have_zero_coefficients(self, tmp_path, capsysbinary):
+        doc = json.loads((EXAMPLES / "classical.json").read_text())
+        doc["weights"] = [5e-301, 0.5, 5e-301, 0.5]  # branch products underflow
+        model = tmp_path / "tiny.json"
+        model.write_text(json.dumps(doc))
+        code, out, err = run(["analyze", "--model", str(model)], capsysbinary)
+        assert (code, err) == (0, b"")
+        entries = json.loads(out)["interference"]["entries"]
+        assert [e["coefficient"] for e in entries] == [0.0, 0.0]
 
     def test_missing_file_exits_2(self, capsysbinary):
         code, _, err = run(["analyze", "--model", "/nowhere/none.json"], capsysbinary)

@@ -117,6 +117,24 @@ class TestTransitionProbabilities:
         )
         np.testing.assert_allclose(t, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
+    def test_no_kernel_is_exactly_the_identity(self):
+        rng = np.random.default_rng(5)
+        for _ in range(25):
+            space, selector, outcome, context = random_space(rng, max_points=12)
+            identity = PerturbationKernel.identity(space.size)
+            np.testing.assert_array_equal(
+                transition_probabilities(space, context, selector, outcome, None),
+                transition_probabilities(space, context, selector, outcome, identity),
+            )
+
+    def test_none_is_an_ordinary_selector_value(self):
+        space, selector, outcome, context = four_point_model()
+        unnamed = RandomVariable("path", [None, None, "right", "right"])
+        np.testing.assert_array_equal(
+            transition_probabilities(space, context, unnamed, outcome, None),
+            transition_probabilities(space, context, selector, outcome, None),
+        )
+
     def test_two_point_kernel_rows_match_enumeration(self):
         space, selector, outcome, context, kernel = two_point_model()
         # enumeration oracle: selecting 'left' puts all mass on point 0, so

@@ -1,26 +1,27 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from contextprob import (
     Classification,
     ContextualStatistics,
-    DegenerateDenominator,
     InvariantViolation,
     NoPhase,
     analyze_interference,
     branch_probabilities,
     classify,
     contextual_statistics,
-    interference_coefficients,
     phases,
 )
+from contextprob.interference import _sqrt_product
 
 from synth import (
     brute_force_lambdas,
+    coefficients,
     random_hyperbolic_statistics,
     random_perturbed_model,
     random_trigonometric_statistics,
@@ -52,28 +53,28 @@ def lopsided_statistics():
 class TestCoefficients:
     def test_flat_transition_half_quarters(self):
         # oracle: (0.75 - 0.25 - 0.25) / (2*sqrt(0.25*0.25)) = 0.5 exactly
-        coefficients, branches = interference_coefficients(half_half_statistics())
-        assert coefficients == (0.5, -0.5)
-        np.testing.assert_allclose(branches, 0.25, atol=1e-15)
+        stats = half_half_statistics()
+        assert coefficients(stats) == (0.5, -0.5)
+        np.testing.assert_allclose(branch_probabilities(stats), 0.25, atol=1e-15)
 
     def test_lopsided_case_exceeds_unit_circle(self):
         # oracle: (0.95 - 0.4 - 0.1) / (2*sqrt(0.4*0.1)) = 0.45/0.4 = 1.125
-        coefficients, _ = interference_coefficients(lopsided_statistics())
-        assert coefficients[0] == pytest.approx(1.125, abs=1e-12)
-        assert coefficients[1] == pytest.approx(-1.125, abs=1e-12)
+        lam_1, lam_2 = coefficients(lopsided_statistics())
+        assert lam_1 == pytest.approx(1.125, abs=1e-12)
+        assert lam_2 == pytest.approx(-1.125, abs=1e-12)
 
-    def test_zero_branch_raises_with_location(self):
-        stats = ContextualStatistics(
-            ("left", "right"),
-            ("up", "down"),
-            (0.5, 0.5),
-            (0.5, 0.5),
-            [[1.0, 0.0], [0.3, 0.7]],
-        )
-        with pytest.raises(DegenerateDenominator) as info:
-            interference_coefficients(stats)
-        assert info.value.selector_index == 0
-        assert info.value.outcome_index == 1
+    @given(
+        st.floats(min_value=0.0, allow_infinity=False),
+        st.floats(min_value=0.0, allow_infinity=False),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_sqrt_product_is_the_plain_root_when_the_product_is_normal(self, a, b):
+        assume(sys.float_info.min <= a * b <= sys.float_info.max)
+        assert _sqrt_product(a, b) == math.sqrt(a * b)
+
+    def test_sqrt_product_survives_an_underflowing_product(self):
+        assert 1e-300 * 1e-300 == 0.0
+        assert _sqrt_product(1e-300, 1e-300) == pytest.approx(1e-300, rel=1e-15)
 
     def test_branches_multiply_marginals_into_transition(self):
         stats = lopsided_statistics()
@@ -213,7 +214,8 @@ class TestNormalizationIdentity:
 
     @staticmethod
     def identity_gap(stats):
-        (lam_1, lam_2), branches = interference_coefficients(stats)
+        lam_1, lam_2 = coefficients(stats)
+        branches = branch_probabilities(stats)
         return abs(
             math.sqrt(branches[0, 0] * branches[1, 0]) * lam_1
             + math.sqrt(branches[0, 1] * branches[1, 1]) * lam_2
@@ -235,7 +237,7 @@ class TestAgainstBruteForce:
         rng = np.random.default_rng(47)
         for _ in range(50):
             _, _, _, _, _, stats = random_perturbed_model(rng, identity=True)
-            (lam_1, lam_2), _ = interference_coefficients(stats)
+            lam_1, lam_2 = coefficients(stats)
             assert abs(lam_1) < 1e-12 and abs(lam_2) < 1e-12
 
     def test_pipeline_matches_enumeration(self):
@@ -245,6 +247,6 @@ class TestAgainstBruteForce:
                 rng
             )
             expected = brute_force_lambdas(space, context, selector, outcome, kernel)
-            (lam_1, lam_2), _ = interference_coefficients(stats)
+            lam_1, lam_2 = coefficients(stats)
             assert lam_1 == pytest.approx(expected[0], abs=1e-12)
             assert lam_2 == pytest.approx(expected[1], abs=1e-12)

@@ -1,8 +1,11 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contextprob import (
     ContextualStatistics,
@@ -13,12 +16,16 @@ from contextprob import (
     canonical_json,
     emit_report,
     ingest_contingency_table,
-    interference_coefficients,
     load_model,
     load_report,
 )
 
-from synth import random_hyperbolic_statistics, random_trigonometric_statistics
+from synth import (
+    coefficients,
+    random_hyperbolic_statistics,
+    random_space,
+    random_trigonometric_statistics,
+)
 
 
 def model_document(**overrides):
@@ -40,6 +47,14 @@ def model_document(**overrides):
 
 def model_text(**overrides):
     return json.dumps(model_document(**overrides))
+
+
+def identity_kernel(*cells):
+    """The 4x4 identity kernel with (row, column, value) cells replaced."""
+    kernel = [[1.0 if i == j else 0.0 for j in range(4)] for i in range(4)]
+    for i, j, value in cells:
+        kernel[i][j] = value
+    return kernel
 
 
 TABLE = """\
@@ -76,9 +91,28 @@ class TestLoadModel:
         assert model.kernel is not None
         np.testing.assert_array_equal(model.kernel.matrix, np.eye(4))
 
-    def test_effective_kernel_defaults_to_identity(self):
-        model = load_model(model_text())
-        np.testing.assert_array_equal(model.effective_kernel().matrix, np.eye(4))
+    def test_effective_kernel_is_none_without_a_kernel(self):
+        assert load_model(model_text()).effective_kernel() is None
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_missing_kernel_reports_like_the_identity(self, seed, numeric):
+        space, selector, outcome, context = random_space(
+            np.random.default_rng(seed), numeric=numeric
+        )
+        doc = {
+            "schema": 1,
+            "points": list(space.points),
+            "weights": space.weights.tolist(),
+            "variables": {v.name: list(v.values) for v in (selector, outcome)},
+            "selector": selector.name,
+            "outcome": outcome.name,
+            "context": list(context.members),
+        }
+        with_identity = dict(doc, kernel=np.eye(space.size).tolist())
+        assert emit_report(analyze_model(load_model(json.dumps(doc)))) == emit_report(
+            analyze_model(load_model(json.dumps(with_identity)))
+        )
 
     def test_invalid_json(self):
         with pytest.raises(InvariantViolation, match="not valid JSON"):
@@ -156,12 +190,45 @@ class TestLoadModel:
             )
         assert info.value.path == "context"
 
-    def test_kernel_row_is_named_in_diagnostics(self):
-        identity = [[1.0 if i == j else 0.0 for j in range(4)] for i in range(4)]
-        identity[1][1] = 0.9
+    @pytest.mark.parametrize(
+        "kernel, path",
+        [
+            pytest.param(
+                [row[:3] if i == 1 else row for i, row in enumerate(identity_kernel())],
+                "kernel.row[1]",
+                id="short-row",
+            ),
+            pytest.param(identity_kernel((1, 2, "x")), "kernel.row[1][2]", id="string"),
+            pytest.param(identity_kernel((1, 2, True)), "kernel.row[1][2]", id="bool"),
+            pytest.param(identity_kernel((1, 2, None)), "kernel.row[1][2]", id="null"),
+            pytest.param(
+                identity_kernel((1, 2, 10**400)), "kernel.row[1][2]", id="huge-integer"
+            ),
+            # each of the rest has two bad rows; the first is named
+            pytest.param(
+                identity_kernel((1, 1, -1.0), (1, 2, 2.0), (3, 3, -1.0), (3, 0, 2.0)),
+                "kernel.row[1]",
+                id="negative",
+            ),
+            pytest.param(
+                identity_kernel((1, 1, math.nan), (3, 3, math.nan)),
+                "kernel.row[1]",
+                id="nan",
+            ),
+            pytest.param(
+                identity_kernel((1, 1, 0.9), (3, 3, 0.5)), "kernel.row[1]", id="row-sum"
+            ),
+        ],
+    )
+    def test_kernel_row_is_named_in_diagnostics(self, kernel, path):
         with pytest.raises(InvariantViolation) as info:
-            load_model(model_text(kernel=identity))
-        assert info.value.path == "kernel.row[1]"
+            load_model(model_text(kernel=kernel))
+        assert info.value.path == path
+
+    def test_weight_too_large_for_a_float(self):
+        with pytest.raises(InvariantViolation) as info:
+            load_model(model_text(weights=[0.5, 10**400, 0.25, 0.25]))
+        assert info.value.path == "weights[1]"
 
     def test_unknown_option(self):
         with pytest.raises(InvariantViolation) as info:
@@ -189,8 +256,7 @@ class TestIngestContingencyTable:
         assert stats.outcome_labels == ("up", "down")
         np.testing.assert_allclose(stats.selector_marginals, (0.5, 0.5), atol=0)
         np.testing.assert_allclose(stats.outcome_marginals, (0.75, 0.25), atol=0)
-        coefficients, _ = interference_coefficients(stats)
-        assert coefficients == (0.5, -0.5)
+        assert coefficients(stats) == (0.5, -0.5)
 
     def test_repeated_cells_accumulate(self):
         split = TABLE.replace("direct,,up,750", "direct,,up,700\ndirect,,up,50")
@@ -239,12 +305,33 @@ class TestIngestContingencyTable:
             ingest_contingency_table(table)
 
     def test_negative_count(self):
-        with pytest.raises(InvariantViolation, match="non-negative"):
-            ingest_contingency_table(TABLE.replace("750", "-750"))
+        for count in ("-750", "-0"):
+            with pytest.raises(InvariantViolation, match="non-negative") as info:
+                ingest_contingency_table(TABLE.replace("750", count))
+            assert info.value.path == "row[2]"
 
     def test_fractional_count(self):
-        with pytest.raises(InvariantViolation, match="integer"):
-            ingest_contingency_table(TABLE.replace("750", "750.5"))
+        # only ASCII digits: no Python literal syntax, no other scripts' digits
+        for count in ("750.5", "9_500", "+5", "\u0665", "0x2ee", "7 50", "-", ""):
+            with pytest.raises(InvariantViolation, match="count must be an integer") as info:
+                ingest_contingency_table(TABLE.replace("750", count))
+            assert info.value.path == "row[2]"
+
+    def test_count_beyond_the_range_of_a_float(self):
+        with pytest.raises(InvariantViolation, match="too large") as info:
+            ingest_contingency_table(TABLE.replace("750", "9" * 400))
+        assert info.value.path == "row[2]"
+        near_max = str(int(sys.float_info.max))
+        with pytest.raises(InvariantViolation) as info:
+            ingest_contingency_table(
+                TABLE.replace("up,750", "up," + near_max).replace("down,250", "down," + near_max, 1)
+            )
+        assert info.value.path == "count"
+        # leading zeros do not count towards the size
+        padded = ingest_contingency_table(TABLE.replace("750", "0" * 5000 + "750"))
+        np.testing.assert_array_equal(
+            padded.outcome_marginals, ingest_contingency_table(TABLE).outcome_marginals
+        )
 
     def test_wrong_header(self):
         with pytest.raises(InvariantViolation) as info:
