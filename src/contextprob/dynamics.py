@@ -11,7 +11,6 @@ outcome transition probabilities see the kernel.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
@@ -37,6 +36,8 @@ DEFAULT_SENSITIVITY_TOLERANCE = 1e-9
 # Samples are drawn in fixed-size chunks, each with its own child seed, so
 # the counts are reproducible whether chunks run serially or in parallel.
 SAMPLE_CHUNK = 1 << 16
+# Counts are int64, so no call may ask for more draws than that holds.
+MAX_SAMPLE_COUNT = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,26 +301,34 @@ def sample_frequencies(
 
     The stream is split into fixed ``SAMPLE_CHUNK``-sized chunks, each seeded
     from its own spawn of ``seed``, so the same ``(seed, n)`` always yields
-    the same counts no matter how the chunks are executed.
+    the same counts no matter how the chunks are executed.  Draw ``u`` lands
+    on support value ``j`` when ``cumulative[j-1] <= u < cumulative[j]``.
+    Each chunk is sorted and counted against the cumulative bounds, so memory
+    is one chunk whatever ``n`` is.  The counts are unchanged from earlier
+    versions, which placed each draw by binary search, for the same
+    ``(seed, n)``.  ``n`` may not exceed the int64 count range.
     """
     n = int(n)
-    if n < 1:
-        raise InvariantViolation("sample count must be at least 1")
+    if not 1 <= n <= MAX_SAMPLE_COUNT:
+        raise InvariantViolation(
+            f"sample count must be at least 1 and at most {MAX_SAMPLE_COUNT}"
+        )
     seed = int(seed)
     if seed < 0:
         raise InvariantViolation("seed must be a non-negative integer")
     exact = measurement_distribution(
         space, context, variable, kernel, selector, selector_value
     )
-    cumulative = np.cumsum(exact.masses)
-    cumulative[-1] = 1.0  # guard against rounding in the last bin
-    k = len(exact.support)
-    counts = np.zeros(k, dtype=np.int64)
-    n_chunks = math.ceil(n / SAMPLE_CHUNK)
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-    for i, child in enumerate(children):
-        size = min(SAMPLE_CHUNK, n - i * SAMPLE_CHUNK)
-        uniforms = np.random.Generator(np.random.Philox(child)).random(size)
-        drawn = np.searchsorted(cumulative, uniforms, side="right")
-        counts += np.bincount(drawn, minlength=k)
-    return FrequencyTable(exact.support, counts, n, seed)
+    bounds = np.cumsum(exact.masses)[:-1]
+    # below[j] counts the draws under bounds[j]; the last value takes the rest
+    below = np.zeros(len(exact.support), dtype=np.int64)
+    buffer = np.empty(min(n, SAMPLE_CHUNK))
+    root = np.random.SeedSequence(seed)
+    for start in range(0, n, SAMPLE_CHUNK):
+        (child,) = root.spawn(1)
+        uniforms = buffer[: min(SAMPLE_CHUNK, n - start)]
+        np.random.Generator(np.random.Philox(child)).random(out=uniforms)
+        uniforms.sort()
+        below[:-1] += np.searchsorted(uniforms, bounds, side="left")
+    below[-1] = n
+    return FrequencyTable(exact.support, np.diff(below, prepend=0), n, seed)

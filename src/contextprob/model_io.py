@@ -21,7 +21,7 @@ from typing import Any
 
 import numpy as np
 
-from .dynamics import ContextualStatistics, PerturbationKernel
+from .dynamics import MAX_SAMPLE_COUNT, ContextualStatistics, PerturbationKernel
 from .errors import DegenerateData, InvariantViolation
 from .prespace import Context, Prespace, RandomVariable
 
@@ -235,8 +235,11 @@ def _load_options(raw: Any) -> AnalysisOptions:
             fields[key] = value
     if "sample_size" in raw:
         value = _require_int(raw["sample_size"], "options.sample_size")
-        if value < 1:
-            _fail("options.sample_size", "sample size must be at least 1")
+        if not 1 <= value <= MAX_SAMPLE_COUNT:
+            _fail(
+                "options.sample_size",
+                f"sample size must be at least 1 and at most {MAX_SAMPLE_COUNT}",
+            )
         fields["sample_size"] = value
     if "seed" in raw:
         value = _require_int(raw["seed"], "options.seed")

@@ -255,6 +255,26 @@ class TestSample:
         assert code == 2
         assert b"nope" in err
 
+    @pytest.mark.parametrize("n", [10**29, 10**400], ids=["1e29", "1e400"])
+    def test_count_beyond_int64_exits_2(self, n, capsysbinary):
+        code, out, err = run(
+            [
+                "sample",
+                "--model",
+                str(EXAMPLES / "classical.json"),
+                "--variable",
+                "screen",
+                "--n",
+                str(n),
+            ],
+            capsysbinary,
+        )
+        assert code == 2
+        assert out == b""
+        lines = err.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in err.decode()
+
     def test_out_file(self, tmp_path, capsysbinary):
         target = tmp_path / "counts.json"
         code, _, _ = run(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,8 @@ from contextprob import (
     variable_distribution,
 )
 
+from contextprob.dynamics import SAMPLE_CHUNK
+
 from synth import random_kernel, random_space
 
 
@@ -38,6 +42,67 @@ def four_point_model():
     selector = RandomVariable("path", ["left", "left", "right", "right"])
     outcome = RandomVariable("screen", ["up", "down", "up", "down"])
     return space, selector, outcome, Context.full(space)
+
+
+def two_valued_model():
+    space = Prespace(["a", "b", "c"], [0.3, 0.45, 0.25])
+    return space, RandomVariable("v", ["x", "y", "x"])
+
+
+def three_valued_model():
+    # "z" has zero mass and sits between the other two values
+    space = Prespace(["a", "b", "c", "d"], [0.15, 0.0, 0.6, 0.25])
+    return space, RandomVariable("w", ["x", "z", "y", "x"])
+
+
+# Counts recorded from the first release of the sampler, which placed each
+# draw with a binary search.  Any later counting scheme must reproduce them.
+PINNED_COUNTS = [
+    (two_valued_model, 0, 1, [0, 1]),
+    (two_valued_model, 0, 65535, [36010, 29525]),
+    (two_valued_model, 0, 65536, [36011, 29525]),
+    (two_valued_model, 0, 65537, [36011, 29526]),
+    (two_valued_model, 0, 200003, [110255, 89748]),
+    (two_valued_model, 7, 1, [1, 0]),
+    (two_valued_model, 7, 65535, [35787, 29748]),
+    (two_valued_model, 7, 65536, [35788, 29748]),
+    (two_valued_model, 7, 65537, [35789, 29748]),
+    (two_valued_model, 7, 200003, [109718, 90285]),
+    (two_valued_model, 2024, 1, [0, 1]),
+    (two_valued_model, 2024, 65535, [36106, 29429]),
+    (two_valued_model, 2024, 65536, [36106, 29430]),
+    (two_valued_model, 2024, 65537, [36106, 29431]),
+    (two_valued_model, 2024, 200003, [109908, 90095]),
+    (three_valued_model, 0, 1, [0, 0, 1]),
+    (three_valued_model, 0, 65535, [26285, 0, 39250]),
+    (three_valued_model, 0, 65536, [26286, 0, 39250]),
+    (three_valued_model, 0, 65537, [26286, 0, 39251]),
+    (three_valued_model, 0, 200003, [80031, 0, 119972]),
+    (three_valued_model, 7, 1, [1, 0, 0]),
+    (three_valued_model, 7, 65535, [26035, 0, 39500]),
+    (three_valued_model, 7, 65536, [26036, 0, 39500]),
+    (three_valued_model, 7, 65537, [26037, 0, 39500]),
+    (three_valued_model, 7, 200003, [79866, 0, 120137]),
+    (three_valued_model, 2024, 1, [0, 0, 1]),
+    (three_valued_model, 2024, 65535, [26260, 0, 39275]),
+    (three_valued_model, 2024, 65536, [26260, 0, 39276]),
+    (three_valued_model, 2024, 65537, [26260, 0, 39277]),
+    (three_valued_model, 2024, 200003, [79766, 0, 120237]),
+]
+
+
+def reference_counts(masses, n, seed):
+    """The documented sampling scheme, one binary search per draw."""
+    cumulative = np.cumsum(masses)
+    cumulative[-1] = 1.0
+    counts = np.zeros(len(masses), dtype=np.int64)
+    n_chunks = -(-n // SAMPLE_CHUNK)
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_chunks)):
+        size = min(SAMPLE_CHUNK, n - i * SAMPLE_CHUNK)
+        uniforms = np.random.Generator(np.random.Philox(child)).random(size)
+        drawn = np.searchsorted(cumulative, uniforms, side="right")
+        counts += np.bincount(drawn, minlength=len(masses))
+    return counts
 
 
 class TestPerturbationKernel:
@@ -293,3 +358,63 @@ class TestSampleFrequencies:
         space, _, outcome, context = four_point_model()
         with pytest.raises(InvariantViolation):
             sample_frequencies(space, context, outcome, 0, 1)
+        # counts are int64; rejected before any chunk is drawn
+        with pytest.raises(InvariantViolation, match="at most"):
+            sample_frequencies(space, context, outcome, 2**63, 1)
+
+    @pytest.mark.parametrize(
+        "model, seed, n, counts",
+        PINNED_COUNTS,
+        ids=[f"{m.__name__}-{seed}-{n}" for m, seed, n, _ in PINNED_COUNTS],
+    )
+    def test_counts_are_pinned(self, model, seed, n, counts):
+        space, variable = model()
+        table = sample_frequencies(space, Context.full(space), variable, n, seed)
+        assert table.counts.tolist() == counts
+
+    @given(
+        weights=st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.integers(1, 3).map(float),
+                st.floats(1e-9, 1.0),
+            ),
+            min_size=1,
+            max_size=12,
+        ).filter(lambda w: sum(w) > 0.0),
+        n=st.one_of(
+            st.integers(1, 3 * SAMPLE_CHUNK),
+            st.builds(
+                lambda chunks, offset: chunks * SAMPLE_CHUNK + offset,
+                st.integers(1, 3),
+                st.integers(-2, 2),
+            ),
+        ),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_counts_match_the_reference_scheme(self, weights, n, seed):
+        total = sum(weights)
+        space = Prespace.from_weights([w / total for w in weights])
+        variable = RandomVariable("v", list(range(len(weights))))
+        context = Context.full(space)
+        masses = measurement_distribution(space, context, variable).masses
+        table = sample_frequencies(space, context, variable, n, seed)
+        np.testing.assert_array_equal(
+            table.counts, reference_counts(masses, n, seed)
+        )
+
+    def test_memory_does_not_grow_with_the_count(self):
+        space, variable = two_valued_model()
+        context = Context.full(space)
+
+        def peak(chunks):
+            tracemalloc.start()
+            try:
+                sample_frequencies(space, context, variable, chunks * SAMPLE_CHUNK, 3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # the first call also allocates numpy's one-off state
+        assert peak(40) <= 1.5 * peak(3)

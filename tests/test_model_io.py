@@ -240,6 +240,12 @@ class TestLoadModel:
             load_model(model_text(options={"seed": -1}))
         assert info.value.path == "options.seed"
 
+    @pytest.mark.parametrize("size", [0, 2**63])
+    def test_sample_size_out_of_range(self, size):
+        with pytest.raises(InvariantViolation) as info:
+            load_model(model_text(options={"sample_size": size}))
+        assert info.value.path == "options.sample_size"
+
     def test_options_are_applied(self):
         model = load_model(
             model_text(options={"seed": 7, "sample_size": 1000})
