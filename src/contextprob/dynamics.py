@@ -11,6 +11,7 @@ outcome transition probabilities see the kernel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
@@ -52,13 +53,17 @@ class PerturbationKernel:
             raise InvariantViolation(
                 f"kernel must be a square matrix, got shape {m.shape}"
             )
-        finite = np.isfinite(m).all(axis=1)
-        non_negative = (m >= 0.0).all(axis=1)
         row_sums = m.sum(axis=1)
-        bad = np.flatnonzero(
-            ~(finite & non_negative & (np.abs(row_sums - 1.0) <= WEIGHT_TOLERANCE))
-        )
-        if bad.size:
+        # Checked whole first: NaN fails both comparisons, and an infinite
+        # entry makes its row sum fail.  Rows are inspected only after that.
+        if m.size and not (
+            m.min() >= 0.0 and np.abs(row_sums - 1.0).max() <= WEIGHT_TOLERANCE
+        ):
+            finite = np.isfinite(m).all(axis=1)
+            non_negative = (m >= 0.0).all(axis=1)
+            bad = np.flatnonzero(
+                ~(finite & non_negative & (np.abs(row_sums - 1.0) <= WEIGHT_TOLERANCE))
+            )
             i = int(bad[0])
             if not finite[i]:
                 message = "entries must be finite"
@@ -150,33 +155,36 @@ class ContextualStatistics:
                     f"{side} variable must take exactly 2 distinct values, "
                     f"got {labels!r}"
                 )
-        sel = np.asarray(selector_marginals, dtype=float)
-        out = np.asarray(outcome_marginals, dtype=float)
-        t = np.asarray(transition, dtype=float)
+        sel = _frozen_array(selector_marginals)
+        out = _frozen_array(outcome_marginals)
+        t = _frozen_array(transition)
         if sel.shape != (2,) or out.shape != (2,):
             raise InvariantViolation("marginals must be length-2 vectors")
         if t.shape != (2, 2):
             raise InvariantViolation("transition must be a 2x2 matrix")
         for name, vec in (("selector marginals", sel), ("outcome marginals", out)):
-            if not np.all(np.isfinite(vec)) or np.any(vec < 0.0):
+            # A finite sum means finite entries; look at them only otherwise.
+            total = float(vec.sum())
+            if (not math.isfinite(total) and not np.isfinite(vec).all()) or vec.min() < 0.0:
                 raise InvariantViolation(f"{name} must be non-negative and finite")
-            if abs(float(vec.sum()) - 1.0) > STATISTICS_TOLERANCE:
+            if abs(total - 1.0) > STATISTICS_TOLERANCE:
                 raise InvariantViolation(
                     f"{name} must sum to 1 within {STATISTICS_TOLERANCE}"
                 )
-        if not np.all(np.isfinite(t)) or np.any(t < 0.0) or np.any(t > 1.0 + STATISTICS_TOLERANCE):
+        # min and max propagate NaN, which fails both comparisons.
+        if not (t.min() >= 0.0 and t.max() <= 1.0 + STATISTICS_TOLERANCE):
             raise InvariantViolation("transition entries must lie in [0, 1]")
-        row_sums = t.sum(axis=1)
-        if np.any(np.abs(row_sums - 1.0) > STATISTICS_TOLERANCE):
+        row_sums = t.sum(axis=1).tolist()
+        if any(abs(row - 1.0) > STATISTICS_TOLERANCE for row in row_sums):
             raise InvariantViolation(
                 f"transition rows must sum to 1 within {STATISTICS_TOLERANCE}, "
-                f"got {row_sums.tolist()!r}"
+                f"got {row_sums!r}"
             )
         object.__setattr__(self, "selector_labels", selector_labels)
         object.__setattr__(self, "outcome_labels", outcome_labels)
-        object.__setattr__(self, "selector_marginals", _frozen_array(sel))
-        object.__setattr__(self, "outcome_marginals", _frozen_array(out))
-        object.__setattr__(self, "transition", _frozen_array(t))
+        object.__setattr__(self, "selector_marginals", sel)
+        object.__setattr__(self, "outcome_marginals", out)
+        object.__setattr__(self, "transition", t)
 
 
 def contextual_statistics(

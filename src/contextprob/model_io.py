@@ -47,6 +47,7 @@ _OPTION_KEYS = {"classify_tolerance", "sensitivity_tolerance", "sample_size", "s
 _MAX_COUNT = sys.float_info.max
 # A bool is an int to isinstance, but not a number in a document.
 _NUMBER_TYPES = {int, float}
+_VALUE_TYPES = {str, int, float}
 
 
 @dataclass(frozen=True)
@@ -88,6 +89,11 @@ def _fail(path: str, message: str) -> None:
     raise InvariantViolation(message, path=path)
 
 
+def _key(name: str) -> str:
+    """A document key as a path part; quoted when it would break the line."""
+    return name if name.isprintable() else repr(name)
+
+
 def _require_number(value: Any, path: str) -> float:
     if type(value) not in _NUMBER_TYPES:
         _fail(path, f"expected a number, got {value!r}")
@@ -110,6 +116,18 @@ def _number_array(values: list, path: str) -> np.ndarray:
     return np.array([_require_number(x, f"{path}[{i}]") for i, x in enumerate(values)])
 
 
+def _text(data: bytes | str) -> str:
+    """A document as text; bytes must be UTF-8."""
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvariantViolation(
+            f"not valid UTF-8: {exc.reason} at byte {exc.start}"
+        ) from None
+
+
 def _require_int(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(path, f"expected an integer, got {value!r}")
@@ -118,7 +136,7 @@ def _require_int(value: Any, path: str) -> int:
 
 def load_model(data: bytes | str) -> ExperimentModel:
     """Parse and validate a JSON model document."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    text = _text(data)
     try:
         doc = json.loads(text)
     except ValueError as exc:  # also an integer literal beyond int()'s digit limit
@@ -127,7 +145,7 @@ def load_model(data: bytes | str) -> ExperimentModel:
         _fail("$", "model document must be a JSON object")
     for key in doc:
         if key not in _MODEL_KEYS:
-            _fail(key, "unknown key in model document")
+            _fail(_key(key), "unknown key in model document")
     if doc.get("schema") != SCHEMA_VERSION:
         _fail("schema", f"expected schema {SCHEMA_VERSION}, got {doc.get('schema')!r}")
 
@@ -140,9 +158,7 @@ def load_model(data: bytes | str) -> ExperimentModel:
     if points is None:
         points = [f"p{i + 1}" for i in range(len(weights))]
     else:
-        if not isinstance(points, list) or not all(
-            isinstance(p, str) for p in points
-        ):
+        if not isinstance(points, list) or not set(map(type, points)) <= {str}:
             _fail("points", "expected a list of strings")
         if len(points) != len(weights):
             _fail("points", f"{len(points)} points for {len(weights)} weights")
@@ -156,16 +172,18 @@ def load_model(data: bytes | str) -> ExperimentModel:
     raw_variables = doc.get("variables")
     if not isinstance(raw_variables, dict) or not raw_variables:
         _fail("variables", "expected a non-empty object of name -> value list")
+    size = prespace.size
     variables: dict[str, RandomVariable] = {}
     for name, values in raw_variables.items():
-        path = f"variables.{name}"
+        path = f"variables.{_key(name)}"
         if not isinstance(values, list):
             _fail(path, "expected a list of values")
-        if len(values) != prespace.size:
-            _fail(path, f"{len(values)} values for {prespace.size} points")
-        for i, value in enumerate(values):
-            if not isinstance(value, (str, int, float)) or isinstance(value, bool):
-                _fail(f"{path}[{i}]", f"values must be strings or numbers, got {value!r}")
+        if len(values) != size:
+            _fail(path, f"{len(values)} values for {size} points")
+        if not set(map(type, values)) <= _VALUE_TYPES:
+            for i, value in enumerate(values):
+                if type(value) not in _VALUE_TYPES:
+                    _fail(f"{path}[{i}]", f"values must be strings or numbers, got {value!r}")
         variables[name] = RandomVariable(name, values)
 
     selector_name = doc.get("selector")
@@ -185,23 +203,27 @@ def load_model(data: bytes | str) -> ExperimentModel:
     raw_context = doc.get("context")
     if not isinstance(raw_context, list) or not raw_context:
         _fail("context", "expected a non-empty list of point indices")
-    members = [_require_int(i, f"context[{k}]") for k, i in enumerate(raw_context)]
-    for k, member in enumerate(members):
-        if not 0 <= member < prespace.size:
-            _fail(f"context[{k}]", f"index {member} out of range")
-    context = Context(members)
-    if float(np.sum(prespace.weights[np.asarray(context.members)])) <= 0.0:
+    # Checked whole; walked to the first bad entry only when that fails.
+    if set(map(type, raw_context)) != {int}:
+        for k, member in enumerate(raw_context):
+            _require_int(member, f"context[{k}]")
+    if min(raw_context) < 0 or max(raw_context) >= size:
+        for k, member in enumerate(raw_context):
+            if not 0 <= member < size:
+                _fail(f"context[{k}]", f"index {member} out of range")
+    context = Context(raw_context)
+    if float(prespace.weights[list(context.members)].sum()) <= 0.0:
         _fail("context", "context carries zero total weight")
 
     kernel = None
     raw_kernel = doc.get("kernel")
     if raw_kernel is not None:
-        if not isinstance(raw_kernel, list) or len(raw_kernel) != prespace.size:
-            _fail("kernel", f"expected {prespace.size} rows")
-        matrix = np.empty((prespace.size, prespace.size))
+        if not isinstance(raw_kernel, list) or len(raw_kernel) != size:
+            _fail("kernel", f"expected {size} rows")
+        matrix = np.empty((size, size))
         for i, row in enumerate(raw_kernel):
-            if not isinstance(row, list) or len(row) != prespace.size:
-                _fail(f"kernel.row[{i}]", f"expected {prespace.size} entries")
+            if not isinstance(row, list) or len(row) != size:
+                _fail(f"kernel.row[{i}]", f"expected {size} entries")
             matrix[i] = _number_array(row, f"kernel.row[{i}]")
         # PerturbationKernel checks the numeric invariants and names the row.
         kernel = PerturbationKernel(matrix)
@@ -225,7 +247,7 @@ def _load_options(raw: Any) -> AnalysisOptions:
         _fail("options", "expected an object")
     for key in raw:
         if key not in _OPTION_KEYS:
-            _fail(f"options.{key}", "unknown option")
+            _fail(f"options.{_key(key)}", "unknown option")
     fields: dict[str, Any] = {}
     for key in ("classify_tolerance", "sensitivity_tolerance"):
         if key in raw:
@@ -270,8 +292,10 @@ def ingest_contingency_table(data: bytes | str) -> ContextualStatistics:
     (selector measured first, then outcome).  Repeated cells accumulate.
     Raises :class:`DegenerateData` when a required group has zero total.
     """
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    rows = list(csv.reader(io.StringIO(text)))
+    try:
+        rows = list(csv.reader(io.StringIO(_text(data))))
+    except csv.Error as exc:
+        raise InvariantViolation(f"not a valid CSV table: {exc}") from None
     rows = [row for row in rows if row]  # drop blank lines
     if not rows:
         _fail("header", "empty table")

@@ -19,6 +19,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Hashable, Sequence
@@ -42,6 +43,23 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return out
 
 
+def _check_normalized(m: np.ndarray, noun: str) -> None:
+    """Raise for the first of: a non-finite entry, a negative one, a bad sum.
+
+    A finite sum means every entry is finite, so the entries themselves are
+    only inspected when the sum is not.
+    """
+    total = float(m.sum())
+    if not math.isfinite(total) and not np.isfinite(m).all():
+        raise InvariantViolation(f"{noun} must be finite")
+    if m.size and m.min() < 0.0:
+        raise InvariantViolation(f"{noun} must be non-negative")
+    if abs(total - 1.0) > WEIGHT_TOLERANCE:
+        raise InvariantViolation(
+            f"{noun} must sum to 1 within {WEIGHT_TOLERANCE}, got {total!r}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class Prespace:
     """Ordered finite sample space: point identifiers plus one weight each."""
@@ -55,22 +73,14 @@ class Prespace:
             raise InvariantViolation("a prespace needs at least one point")
         if len(set(points)) != len(points):
             raise InvariantViolation("point identifiers must be unique")
-        w = np.asarray(weights, dtype=float)
+        w = _frozen_array(weights)
         if w.ndim != 1 or w.shape[0] != len(points):
             raise InvariantViolation(
                 f"expected {len(points)} weights, got shape {w.shape}"
             )
-        if not np.all(np.isfinite(w)):
-            raise InvariantViolation("weights must be finite")
-        if np.any(w < 0.0):
-            raise InvariantViolation("weights must be non-negative")
-        total = float(np.sum(w))
-        if abs(total - 1.0) > WEIGHT_TOLERANCE:
-            raise InvariantViolation(
-                f"weights must sum to 1 within {WEIGHT_TOLERANCE}, got {total!r}"
-            )
+        _check_normalized(w, "weights")
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "weights", _frozen_array(w))
+        object.__setattr__(self, "weights", w)
 
     @classmethod
     def uniform(cls, n: int) -> "Prespace":
@@ -112,9 +122,10 @@ class RandomVariable:
         codes = np.fromiter(
             (index[v] for v in values), dtype=np.intp, count=len(values)
         )
+        codes.flags.writeable = False
         object.__setattr__(self, "_alphabet", alphabet)
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_codes", _frozen_array(codes, dtype=np.intp))
+        object.__setattr__(self, "_codes", codes)
 
     @property
     def alphabet(self) -> tuple[Hashable, ...]:
@@ -180,22 +191,14 @@ class Distribution:
 
     def __init__(self, support: Sequence[Hashable], masses: Sequence[float]):
         support = tuple(support)
-        m = np.asarray(masses, dtype=float)
+        m = _frozen_array(masses)
         if m.ndim != 1 or m.shape[0] != len(support):
             raise InvariantViolation(
                 f"expected {len(support)} masses, got shape {m.shape}"
             )
-        if not np.all(np.isfinite(m)):
-            raise InvariantViolation("masses must be finite")
-        if np.any(m < 0.0):
-            raise InvariantViolation("masses must be non-negative")
-        total = float(np.sum(m))
-        if abs(total - 1.0) > WEIGHT_TOLERANCE:
-            raise InvariantViolation(
-                f"masses must sum to 1 within {WEIGHT_TOLERANCE}, got {total!r}"
-            )
+        _check_normalized(m, "masses")
         object.__setattr__(self, "support", support)
-        object.__setattr__(self, "masses", _frozen_array(m))
+        object.__setattr__(self, "masses", m)
 
     def mass(self, value: Hashable) -> float:
         try:
@@ -225,7 +228,7 @@ def _member_indices(space: Prespace, context: Context) -> np.ndarray:
 def context_probability(space: Prespace, context: Context) -> float:
     """Total weight of the context's members, in [0, 1]."""
     members = _member_indices(space, context)
-    total = float(np.sum(space.weights[members]))
+    total = float(space.weights[members].sum())
     return min(max(total, 0.0), 1.0)
 
 
@@ -235,7 +238,7 @@ def conditional_distribution(space: Prespace, context: Context) -> Distribution:
     Raises :class:`DegenerateContext` when the context carries no weight.
     """
     members = _member_indices(space, context)
-    total = float(np.sum(space.weights[members]))
+    total = float(space.weights[members].sum())
     if total <= 0.0:
         raise DegenerateContext(
             "cannot condition on a context of zero probability"
@@ -328,7 +331,7 @@ def filter_context(
         raise DegenerateContext(
             f"no points with {variable.name!r} = {value!r} in the context"
         )
-    if float(np.sum(space.weights[kept])) <= 0.0:
+    if float(space.weights[kept].sum()) <= 0.0:
         raise DegenerateContext(
             f"points with {variable.name!r} = {value!r} carry zero weight "
             "in the context"

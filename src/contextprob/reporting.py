@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping
 
 import numpy as np
@@ -67,6 +68,7 @@ def analyze_statistics(
     Degenerate or mixed regimes come back as reports with null amplitudes,
     never as errors.
     """
+    seed = _checked_seed(seed)
     options = options or AnalysisOptions()
     report = analyze_interference(statistics, options.classify_tolerance)
     regime = report.regime
@@ -100,6 +102,7 @@ def analyze_model(
     seed: int | None = None,
 ) -> AnalysisReport:
     """Measure a loaded model and analyze the resulting statistics."""
+    seed = _checked_seed(model.options.seed if seed is None else int(seed))
     statistics = contextual_statistics(
         model.prespace,
         model.context,
@@ -107,13 +110,19 @@ def analyze_model(
         model.outcome,
         model.effective_kernel(),
     )
-    effective_seed = model.options.seed if seed is None else int(seed)
     return analyze_statistics(
         statistics,
         options=model.options,
         input_digest=input_digest,
-        seed=effective_seed,
+        seed=seed,
     )
+
+
+def _checked_seed(seed: int | None) -> int | None:
+    """Reject a negative seed before any analysis is paid for."""
+    if seed is not None and seed < 0:
+        raise InvariantViolation("seed must be a non-negative integer")
+    return seed
 
 
 def _statistics_document(statistics: ContextualStatistics) -> dict[str, Any]:
@@ -253,6 +262,16 @@ def _format_float(value: float) -> str:
 
 
 def _encode(value: Any, level: int) -> str:
+    # Exact types first: a report is almost all floats, strings, dicts, lists.
+    kind = type(value)
+    if kind is float:
+        return _format_float(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is dict:
+        return _encode_object(value, level)
+    if kind is list:
+        return _encode_array(value, level)
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -262,24 +281,33 @@ def _encode(value: Any, level: int) -> str:
     if isinstance(value, (float, np.floating)):
         return _format_float(float(value))
     if isinstance(value, str):
-        return json.dumps(value)
+        return encode_basestring_ascii(value)
     if isinstance(value, Mapping):
-        if not value:
-            return "{}"
-        inner = _INDENT * (level + 1)
-        parts = []
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise InvariantViolation(f"object keys must be strings, got {key!r}")
-            parts.append(f"{inner}{json.dumps(key)}: {_encode(value[key], level + 1)}")
-        return "{\n" + ",\n".join(parts) + "\n" + _INDENT * level + "}"
+        return _encode_object(value, level)
     if isinstance(value, (list, tuple)):
-        items = list(value)
-        if not items:
-            return "[]"
-        if all(isinstance(item, _SCALARS) for item in items):
-            return "[" + ", ".join(_encode(item, level) for item in items) + "]"
-        inner = _INDENT * (level + 1)
-        parts = [f"{inner}{_encode(item, level + 1)}" for item in items]
-        return "[\n" + ",\n".join(parts) + "\n" + _INDENT * level + "]"
+        return _encode_array(value, level)
     raise InvariantViolation(f"cannot serialize {type(value).__name__}")
+
+
+def _encode_object(value: Mapping, level: int) -> str:
+    if not value:
+        return "{}"
+    inner = _INDENT * (level + 1)
+    parts = []
+    for key in sorted(value):
+        if not isinstance(key, str):
+            raise InvariantViolation(f"object keys must be strings, got {key!r}")
+        parts.append(
+            f"{inner}{encode_basestring_ascii(key)}: {_encode(value[key], level + 1)}"
+        )
+    return "{\n" + ",\n".join(parts) + "\n" + _INDENT * level + "}"
+
+
+def _encode_array(value: list | tuple, level: int) -> str:
+    if not value:
+        return "[]"
+    if all(isinstance(item, _SCALARS) for item in value):
+        return "[" + ", ".join([_encode(item, level) for item in value]) + "]"
+    inner = _INDENT * (level + 1)
+    parts = [f"{inner}{_encode(item, level + 1)}" for item in value]
+    return "[\n" + ",\n".join(parts) + "\n" + _INDENT * level + "]"

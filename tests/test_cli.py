@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from contextprob import analyze_model, emit_report, load_model
 from contextprob.cli import main
@@ -82,6 +84,28 @@ class TestAnalyze:
         )
         assert code == 0
         assert json.loads(out)["seed"] == 99
+
+    @pytest.mark.parametrize(
+        "source, path",
+        [("--model", "classical.json"), ("--table", "interference_table.csv")],
+    )
+    def test_negative_seed_exits_2(self, source, path, capsysbinary):
+        code, out, err = run(
+            ["analyze", source, str(EXAMPLES / path), "--seed", "-3"], capsysbinary
+        )
+        assert (code, out) == (2, b"")
+        assert err == b"error: seed must be a non-negative integer\n"
+
+    def test_negative_seed_is_rejected_before_the_analysis(self, tmp_path, capsysbinary):
+        doc = json.loads((EXAMPLES / "classical.json").read_text())
+        doc["context"] = [0, 1]  # degenerate: exits 3 without the bad seed
+        starved = tmp_path / "starved.json"
+        starved.write_text(json.dumps(doc))
+        code, out, err = run(
+            ["analyze", "--model", str(starved), "--seed", "-3"], capsysbinary
+        )
+        assert (code, out) == (2, b"")
+        assert err == b"error: seed must be a non-negative integer\n"
 
     def test_malformed_model_exits_2(self, tmp_path, capsysbinary):
         classical = json.loads((EXAMPLES / "classical.json").read_text())
@@ -327,3 +351,52 @@ class TestParser:
         with pytest.raises(SystemExit) as info:
             main(["analyze", "--model", "a.json", "--table", "b.csv"])
         assert info.value.code == 2
+
+
+# A byte edit: (position as a share of the file, kind, byte).
+_edits = st.lists(
+    st.tuples(
+        st.floats(0.0, 1.0),
+        st.sampled_from(["replace", "insert", "delete"]),
+        st.integers(0, 255),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestByteFuzz:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        name=st.sampled_from(
+            [f"{n}.json" for n in MODEL_NAMES] + [f"{n}.csv" for n in TABLE_NAMES]
+        ),
+        edits=_edits,
+    )
+    def test_mutated_examples_end_in_a_report_or_one_error_line(
+        self, name, edits, tmp_path, capsysbinary
+    ):
+        data = bytearray((EXAMPLES / name).read_bytes())  # far longer than 4 bytes
+        for share, kind, byte in edits:
+            at = min(int(share * len(data)), len(data) - 1)
+            if kind == "insert":
+                data.insert(at, byte)
+            elif kind == "replace":
+                data[at] = byte
+            else:
+                del data[at]
+        path = tmp_path / name
+        path.write_bytes(bytes(data))
+        source = "--model" if name.endswith(".json") else "--table"
+        capsysbinary.readouterr()  # drop what earlier examples printed
+        code, out, err = run(["analyze", source, str(path)], capsysbinary)
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert err == b"" and out.endswith(b"\n")
+        else:
+            assert out == b""
+            assert err.startswith(b"error: ") and err.count(b"\n") == 1

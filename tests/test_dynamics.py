@@ -1,3 +1,5 @@
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -117,6 +119,27 @@ class TestPerturbationKernel:
     def test_entries_non_negative(self):
         with pytest.raises(InvariantViolation):
             PerturbationKernel([[1.5, -0.5], [0.0, 1.0]])
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            pytest.param([math.nan, 1.0], "entries must be finite", id="nan"),
+            pytest.param([math.inf, 0.0], "entries must be finite", id="inf"),
+            pytest.param([-math.inf, 1.0], "entries must be finite", id="-inf"),
+            pytest.param([math.inf, -math.inf], "entries must be finite", id="inf-pair"),
+            pytest.param([1.5, -0.5], "entries must be non-negative", id="negative"),
+            pytest.param([0.5, 0.4], "row sums to 0.9, expected 1", id="bad-sum"),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_first_bad_row_is_named(self, row, message):
+        rows = [[1.0, 0.0, 0.0], row + [0.0], [0.0, 0.0, 1.0]]
+        with pytest.raises(InvariantViolation) as info:
+            PerturbationKernel(rows)
+        assert str(info.value) == f"kernel.row[1]: {message}"
+
+    def test_empty_kernel_is_accepted(self):
+        assert PerturbationKernel(np.empty((0, 0))).size == 0
 
     def test_identity_factory(self):
         np.testing.assert_array_equal(
@@ -270,6 +293,51 @@ class TestContextualStatistics:
         with pytest.raises(InvariantViolation):
             ContextualStatistics(
                 ("a", "b"), ("x", "y"), (0.5, 0.5), (0.6, 0.6), [[0.5, 0.5], [0.5, 0.5]]
+            )
+
+    @pytest.mark.parametrize(
+        "vector, message",
+        [
+            pytest.param([math.nan, 1.0], "must be non-negative and finite", id="nan"),
+            pytest.param([math.inf, 0.0], "must be non-negative and finite", id="inf"),
+            pytest.param([-math.inf, 1.0], "must be non-negative and finite", id="-inf"),
+            pytest.param([1.2, -0.2], "must be non-negative and finite", id="negative"),
+            pytest.param([0.7, 0.2], "must sum to 1 within 1e-10", id="bad-sum"),
+            pytest.param([1e308, 1e308], "must sum to 1 within 1e-10", id="overflowing-sum"),
+        ],
+    )
+    @pytest.mark.parametrize("side", ["selector", "outcome"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_marginal_checks_keep_their_messages(self, side, vector, message):
+        marginals = {"selector": (0.5, 0.5), "outcome": (0.5, 0.5), side: vector}
+        with pytest.raises(InvariantViolation, match=f"^{side} marginals {message}$"):
+            ContextualStatistics(
+                ("a", "b"),
+                ("x", "y"),
+                marginals["selector"],
+                marginals["outcome"],
+                [[0.5, 0.5], [0.5, 0.5]],
+            )
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            pytest.param([math.nan, 1.0], "transition entries must lie in [0, 1]", id="nan"),
+            pytest.param([math.inf, 0.0], "transition entries must lie in [0, 1]", id="inf"),
+            pytest.param([-math.inf, 1.0], "transition entries must lie in [0, 1]", id="-inf"),
+            pytest.param([1.2, -0.2], "transition entries must lie in [0, 1]", id="negative"),
+            pytest.param([1.5, 0.0], "transition entries must lie in [0, 1]", id="above-one"),
+            pytest.param(
+                [0.7, 0.2],
+                "transition rows must sum to 1 within 1e-10, got [0.8999999999999999, 1.0]",
+                id="bad-sum",
+            ),
+        ],
+    )
+    def test_transition_checks_keep_their_messages(self, row, message):
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+            ContextualStatistics(
+                ("a", "b"), ("x", "y"), (0.5, 0.5), (0.5, 0.5), [row, [0.5, 0.5]]
             )
 
 

@@ -1,6 +1,8 @@
 import json
 import math
 import sys
+from collections.abc import Mapping
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -183,6 +185,61 @@ class TestLoadModel:
             load_model(model_text(context=[0, 7]))
         assert info.value.path == "context[1]"
 
+    @pytest.mark.parametrize(
+        "context, path, message",
+        [
+            pytest.param([0, True, 2, 3], "context[1]", "expected an integer, got True", id="true"),
+            pytest.param([0, 1.0, 2, 3], "context[1]", "expected an integer, got 1.0", id="float"),
+            pytest.param([0, "0", 2, 3], "context[1]", "expected an integer, got '0'", id="string"),
+            pytest.param([0, -1, 2, 3], "context[1]", "index -1 out of range", id="negative"),
+            pytest.param([0, 4, 2, 3], "context[1]", "index 4 out of range", id="n"),
+            # every entry's type is checked before any range
+            pytest.param([0, 7, True, 3], "context[2]", "expected an integer, got True", id="type-first"),
+            pytest.param([0, 1, 9, -1], "context[2]", "index 9 out of range", id="first-of-two"),
+        ],
+    )
+    def test_bad_context_entry_is_located(self, context, path, message):
+        with pytest.raises(InvariantViolation) as info:
+            load_model(model_text(context=context))
+        assert info.value.path == path
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [
+            pytest.param(True, "True", id="true"),
+            pytest.param(None, "None", id="null"),
+            pytest.param([1], "[1]", id="list"),
+            pytest.param({}, "{}", id="object"),
+        ],
+    )
+    def test_bad_variable_value_is_located(self, value, shown):
+        values = ["left", "left", value, "right"]
+        with pytest.raises(InvariantViolation) as info:
+            load_model(
+                model_text(variables={"path": values, "screen": ["up", "down", "up", "down"]})
+            )
+        assert info.value.path == "variables.path[2]"
+        assert str(info.value) == (
+            f"variables.path[2]: values must be strings or numbers, got {shown}"
+        )
+
+    def test_unprintable_key_is_quoted_in_the_path(self):
+        doc = model_document(options={"se\ned": 1})
+        doc["a\u2028b"] = 1
+        with pytest.raises(InvariantViolation) as info:
+            load_model(json.dumps(doc))
+        assert str(info.value) == "'a\\u2028b': unknown key in model document"
+        del doc["a\u2028b"]
+        with pytest.raises(InvariantViolation) as info:
+            load_model(json.dumps(doc))
+        assert str(info.value) == "options.'se\\ned': unknown option"
+
+    def test_invalid_utf8_is_rejected(self):
+        for load in (load_model, ingest_contingency_table):
+            with pytest.raises(InvariantViolation, match="^not valid UTF-8: invalid start byte at byte 0$"):
+                load(b"\xff{}")
+
     def test_context_with_zero_weight(self):
         with pytest.raises(InvariantViolation) as info:
             load_model(
@@ -338,6 +395,14 @@ class TestIngestContingencyTable:
         np.testing.assert_array_equal(
             padded.outcome_marginals, ingest_contingency_table(TABLE).outcome_marginals
         )
+
+    def test_bare_carriage_return_is_not_a_valid_table(self):
+        with pytest.raises(InvariantViolation, match="^not a valid CSV table: new-line"):
+            ingest_contingency_table(TABLE.replace("direct,,up,750", "direct,,u\rp,750"))
+
+    def test_field_beyond_the_csv_field_limit(self):
+        with pytest.raises(InvariantViolation, match="^not a valid CSV table: field larger"):
+            ingest_contingency_table(TABLE.replace("750", "7" * 200_000))
 
     def test_wrong_header(self):
         with pytest.raises(InvariantViolation) as info:
@@ -497,6 +562,75 @@ class TestReportSerialization:
             load_report(b"{")
 
 
+def _reference_encode(value, level):
+    """The canonical encoder written plainly: isinstance checks and json.dumps."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        if not math.isfinite(value):
+            raise InvariantViolation(f"cannot serialize non-finite number {value!r}")
+        return format(value, ".17g")
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, Mapping):
+        if not value:
+            return "{}"
+        inner = "  " * (level + 1)
+        parts = []
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise InvariantViolation(f"object keys must be strings, got {key!r}")
+            parts.append(f"{inner}{json.dumps(key)}: {_reference_encode(value[key], level + 1)}")
+        return "{\n" + ",\n".join(parts) + "\n" + "  " * level + "}"
+    if isinstance(value, (list, tuple)):
+        items = list(value)
+        if not items:
+            return "[]"
+        if all(isinstance(item, (type(None), bool, int, float, str)) for item in items):
+            return "[" + ", ".join(_reference_encode(item, level) for item in items) + "]"
+        inner = "  " * (level + 1)
+        parts = [f"{inner}{_reference_encode(item, level + 1)}" for item in items]
+        return "[\n" + ",\n".join(parts) + "\n" + "  " * level + "]"
+    raise InvariantViolation(f"cannot serialize {type(value).__name__}")
+
+
+def _outcome(encode, value):
+    """The encoded text, or the type and message of what was raised."""
+    try:
+        return encode(value)
+    except Exception as exc:  # both encoders must fail the same way
+        return type(exc), str(exc)
+
+
+_keys = st.text()  # any code point: non-ASCII and control characters too
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),  # NaN and infinities must be rejected alike
+    st.text(),
+    st.floats().map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.just({1, 2}),  # not serializable
+)
+_json_like = st.recursive(
+    _scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_keys, children, max_size=4),
+        st.dictionaries(_keys, children, max_size=4).map(MappingProxyType),
+        st.dictionaries(st.integers(), children, min_size=1, max_size=2),
+    ),
+    max_leaves=24,
+)
+
+
 class TestCanonicalJson:
     def test_floats_use_17_significant_digits(self):
         assert canonical_json(0.1) == "0.10000000000000001"
@@ -548,3 +682,11 @@ class TestCanonicalJson:
         once = canonical_json(document)
         again = canonical_json(json.loads(once))
         assert once == again
+
+    @settings(max_examples=200, deadline=None)
+    @given(document=_json_like)
+    def test_matches_the_reference_encoder(self, document):
+        assert _outcome(canonical_json, document) == _outcome(
+            lambda value: _reference_encode(value, 0), document
+        )
+

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +70,35 @@ class TestTypeInvariants:
     def test_distribution_rejects_negative_mass(self):
         with pytest.raises(InvariantViolation):
             Distribution(["x", "y"], [1.2, -0.2])
+
+    @pytest.mark.parametrize(
+        "masses, message",
+        [
+            pytest.param([math.nan, 1.0], "{} must be finite", id="nan"),
+            pytest.param([math.inf, 0.0], "{} must be finite", id="inf"),
+            pytest.param([-math.inf, 1.0], "{} must be finite", id="-inf"),
+            pytest.param([math.nan, -1.0], "{} must be finite", id="nan-and-negative"),
+            pytest.param([1.2, -0.2], "{} must be non-negative", id="negative"),
+            pytest.param(
+                [0.7, 0.2],
+                "{} must sum to 1 within 1e-12, got 0.8999999999999999",
+                id="bad-sum",
+            ),
+            pytest.param(
+                [1e308, 1e308], "{} must sum to 1 within 1e-12, got inf", id="overflowing-sum"
+            ),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_first_failed_check_is_reported(self, masses, message):
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(message.format('weights'))}$"):
+            Prespace(["a", "b"], masses)
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(message.format('masses'))}$"):
+            Distribution(["x", "y"], masses)
+
+    def test_empty_distribution_is_rejected(self):
+        with pytest.raises(InvariantViolation, match="sum to 1 within 1e-12, got 0.0$"):
+            Distribution((), [])
 
     def test_variable_length_checked_against_space(self):
         space = four_point_space()
