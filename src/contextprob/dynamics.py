@@ -37,6 +37,10 @@ DEFAULT_SENSITIVITY_TOLERANCE = 1e-9
 # Samples are drawn in fixed-size chunks, each with its own child seed, so
 # the counts are reproducible whether chunks run serially or in parallel.
 SAMPLE_CHUNK = 1 << 16
+# Each chunk's generator fills one reused buffer of this many draws at a
+# time.  Successive fills continue the stream, so the block size does not
+# change the draws; it divides SAMPLE_CHUNK, so no block straddles two chunks.
+SAMPLE_BLOCK = 1 << 14
 # Counts are int64, so no call may ask for more draws than that holds.
 MAX_SAMPLE_COUNT = int(np.iinfo(np.int64).max)
 
@@ -311,8 +315,10 @@ def sample_frequencies(
     from its own spawn of ``seed``, so the same ``(seed, n)`` always yields
     the same counts no matter how the chunks are executed.  Draw ``u`` lands
     on support value ``j`` when ``cumulative[j-1] <= u < cumulative[j]``.
-    Each chunk is sorted and counted against the cumulative bounds, so memory
-    is one chunk whatever ``n`` is.  The counts are unchanged from earlier
+    Each chunk is drawn in ``SAMPLE_BLOCK``-sized blocks into one reused
+    buffer, and each block is counted by one comparison pass per cumulative
+    bound, so memory is one block whatever ``n`` is and the time grows with
+    the number of support values.  The counts are unchanged from earlier
     versions, which placed each draw by binary search, for the same
     ``(seed, n)``.  ``n`` may not exceed the int64 count range.
     """
@@ -330,13 +336,19 @@ def sample_frequencies(
     bounds = np.cumsum(exact.masses)[:-1]
     # below[j] counts the draws under bounds[j]; the last value takes the rest
     below = np.zeros(len(exact.support), dtype=np.int64)
-    buffer = np.empty(min(n, SAMPLE_CHUNK))
+    block = np.empty(min(n, SAMPLE_BLOCK))
+    mask = np.empty(len(block), dtype=bool)
     root = np.random.SeedSequence(seed)
     for start in range(0, n, SAMPLE_CHUNK):
         (child,) = root.spawn(1)
-        uniforms = buffer[: min(SAMPLE_CHUNK, n - start)]
-        np.random.Generator(np.random.Philox(child)).random(out=uniforms)
-        uniforms.sort()
-        below[:-1] += np.searchsorted(uniforms, bounds, side="left")
+        generator = np.random.Generator(np.random.Philox(child))
+        for offset in range(start, min(n, start + SAMPLE_CHUNK), SAMPLE_BLOCK):
+            size = min(SAMPLE_BLOCK, n - offset)
+            uniforms = block[:size]
+            generator.random(out=uniforms)
+            for j, bound in enumerate(bounds):
+                below[j] += np.count_nonzero(
+                    np.less(uniforms, bound, out=mask[:size])
+                )
     below[-1] = n
     return FrequencyTable(exact.support, np.diff(below, prepend=0), n, seed)

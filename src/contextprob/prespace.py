@@ -19,8 +19,10 @@ Conventions
 
 from __future__ import annotations
 
+import collections.abc
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
@@ -163,10 +165,29 @@ class Context:
     members: tuple[int, ...]
 
     def __init__(self, members: Sequence[int]):
-        try:
-            cleaned = sorted({int(i) for i in members})
-        except (TypeError, ValueError) as exc:
-            raise InvariantViolation(f"context members must be integers: {exc}")
+        if isinstance(members, np.ndarray) and members.dtype.kind != "O":
+            # An array is checked by its dtype, which also refuses bool.
+            if members.ndim != 1 or members.dtype.kind not in "iu":
+                raise InvariantViolation(
+                    "context members must be integers: got an array of "
+                    f"{members.dtype} with shape {members.shape}"
+                )
+            cleaned = sorted(set(members.tolist()))
+        else:
+            # operator.index takes Python and numpy integers and, unlike
+            # int(), refuses 2.9 instead of truncating it.  It also takes
+            # bool, an int subclass, so booleans are refused separately.
+            # Members are read twice, so anything but a sequence is copied.
+            if not isinstance(members, collections.abc.Sequence):
+                members = list(members)
+            try:
+                cleaned = sorted(set(map(operator.index, members)))
+            except TypeError as exc:
+                raise InvariantViolation(f"context members must be integers: {exc}")
+            if bool in set(map(type, members)):
+                raise InvariantViolation(
+                    "context members must be integers, not booleans"
+                )
         if not cleaned:
             raise InvariantViolation("a context needs at least one member")
         if cleaned[0] < 0:

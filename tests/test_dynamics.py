@@ -26,7 +26,7 @@ from contextprob import (
     variable_distribution,
 )
 
-from contextprob.dynamics import SAMPLE_CHUNK
+from contextprob.dynamics import SAMPLE_BLOCK, SAMPLE_CHUNK
 
 from synth import random_kernel, random_space
 
@@ -57,8 +57,16 @@ def three_valued_model():
     return space, RandomVariable("w", ["x", "z", "y", "x"])
 
 
+def twenty_valued_model():
+    # many values, so each block is compared against many bounds; "v7" and
+    # "v14" have zero mass
+    space = Prespace.from_weights([(k % 7) / 63 for k in range(1, 21)])
+    return space, RandomVariable("t", [f"v{k}" for k in range(1, 21)])
+
+
 # Counts recorded from the first release of the sampler, which placed each
-# draw with a binary search.  Any later counting scheme must reproduce them.
+# draw with a binary search, and for twenty_valued_model from the release
+# that sorted every chunk.  Any later counting scheme must reproduce them.
 PINNED_COUNTS = [
     (two_valued_model, 0, 1, [0, 1]),
     (two_valued_model, 0, 65535, [36010, 29525]),
@@ -90,6 +98,21 @@ PINNED_COUNTS = [
     (three_valued_model, 2024, 65536, [26260, 0, 39276]),
     (three_valued_model, 2024, 65537, [26260, 0, 39277]),
     (three_valued_model, 2024, 200003, [79766, 0, 120237]),
+    (twenty_valued_model, 0, 1, [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0]),
+    (twenty_valued_model, 0, 65537, [1056, 2053, 3075, 4147, 5230, 6274, 0, 1092, 2080, 3131,
+                                     4203, 5096, 6396, 0, 1069, 2007, 3106, 4158, 5094, 6270]),
+    (twenty_valued_model, 0, 200003, [3177, 6280, 9572, 12657, 15856, 19063, 0, 3224, 6422, 9559,
+                                      12875, 15881, 19100, 0, 3248, 6266, 9547, 12659, 15800, 18817]),
+    (twenty_valued_model, 7, 1, [0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+    (twenty_valued_model, 7, 65537, [1058, 2090, 3073, 4105, 5206, 6191, 0, 991, 2060, 3201,
+                                     4079, 5240, 6309, 0, 1027, 2145, 3039, 4171, 5275, 6277]),
+    (twenty_valued_model, 7, 200003, [3245, 6284, 9404, 12657, 15818, 19090, 0, 3140, 6401, 9676,
+                                      12573, 15755, 19276, 0, 3125, 6453, 9420, 12645, 15950, 19091]),
+    (twenty_valued_model, 2024, 1, [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]),
+    (twenty_valued_model, 2024, 65537, [1014, 2079, 3066, 4222, 5238, 6220, 0, 1043, 2167, 3141,
+                                        4161, 5149, 6174, 0, 1030, 2018, 3176, 4147, 5324, 6168]),
+    (twenty_valued_model, 2024, 200003, [3107, 6331, 9483, 12550, 15941, 19005, 0, 3166, 6407, 9548,
+                                         12806, 15758, 19134, 0, 3167, 6339, 9585, 12699, 15993, 18984]),
 ]
 
 
@@ -448,13 +471,19 @@ class TestSampleFrequencies:
                 st.floats(1e-9, 1.0),
             ),
             min_size=1,
-            max_size=12,
+            # many-valued alphabets too, whose blocks meet many bounds
+            max_size=40,
         ).filter(lambda w: sum(w) > 0.0),
         n=st.one_of(
             st.integers(1, 3 * SAMPLE_CHUNK),
             st.builds(
                 lambda chunks, offset: chunks * SAMPLE_CHUNK + offset,
                 st.integers(1, 3),
+                st.integers(-2, 2),
+            ),
+            st.builds(
+                lambda blocks, offset: blocks * SAMPLE_BLOCK + offset,
+                st.integers(1, 3 * SAMPLE_CHUNK // SAMPLE_BLOCK),
                 st.integers(-2, 2),
             ),
         ),
@@ -486,3 +515,19 @@ class TestSampleFrequencies:
 
         peak(1)  # the first call also allocates numpy's one-off state
         assert peak(40) <= 1.5 * peak(3)
+
+    @pytest.mark.parametrize(
+        "model", [two_valued_model, three_valued_model, twenty_valued_model]
+    )
+    def test_compared_draws_take_about_one_block(self, model):
+        space, variable = model()
+        context = Context.full(space)
+        sample_frequencies(space, context, variable, 1, 3)  # numpy's one-off state
+        tracemalloc.start()
+        try:
+            sample_frequencies(space, context, variable, 3 * SAMPLE_CHUNK, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block of float64 draws is 0.125 MB; one whole chunk would be 0.5 MB
+        assert SAMPLE_BLOCK * 8 <= peak < 0.25e6

@@ -62,6 +62,56 @@ class TestTypeInvariants:
 
     def test_context_members_deduplicated_and_sorted(self):
         assert Context([3, 1, 1, 0]).members == (0, 1, 3)
+        assert Context(iter([3, 1, 1, 0])).members == (0, 1, 3)
+
+    @pytest.mark.parametrize(
+        "members",
+        [
+            [0.7, 2.9],
+            [2.0],
+            [True, 2],
+            [np.True_],
+            np.array([1.5]),
+            np.array([True]),
+            np.array([[1], [2]]),
+            np.array(3),
+            np.array([1, True], dtype=object),
+            iter([2, True]),
+        ],
+        ids=[
+            "floats",
+            "integral-float",
+            "bool",
+            "numpy-bool",
+            "float-array",
+            "bool-array",
+            "2d-array",
+            "0d-array",
+            "object-array-with-bool",
+            "iterator-with-bool",
+        ],
+    )
+    def test_context_members_must_be_integers(self, members):
+        with pytest.raises(InvariantViolation, match="must be integers"):
+            Context(members)
+
+    def test_context_accepts_numpy_integers(self):
+        members = [np.int64(4), np.uint8(1), *np.array([2, 1], dtype=np.int32)]
+        context = Context(members)
+        assert context.members == (1, 2, 4)
+        assert all(type(i) is int for i in context.members)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint16, np.uint64, object])
+    def test_context_accepts_integer_arrays(self, dtype):
+        context = Context(np.array([5, 0, 5, 2], dtype=dtype))
+        assert context.members == (0, 2, 5)
+        assert all(type(i) is int for i in context.members)
+
+    def test_context_refuses_bad_arrays_like_lists(self):
+        with pytest.raises(InvariantViolation, match="at least one member"):
+            Context(np.array([], dtype=np.int64))
+        with pytest.raises(InvariantViolation, match="non-negative"):
+            Context(np.array([3, -1]))
 
     def test_distribution_masses_must_normalize(self):
         with pytest.raises(InvariantViolation):
