@@ -40,7 +40,10 @@ def _write_output(data: bytes, out: str | None) -> None:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
     else:
-        Path(out).write_bytes(data)
+        try:
+            Path(out).write_bytes(data)
+        except OSError as exc:
+            raise InvariantViolation(f"cannot write {out}: {exc.strerror}") from None
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -141,7 +144,3 @@ def main(argv: list[str] | None = None) -> int:
     except (DegenerateContext, DegenerateData) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

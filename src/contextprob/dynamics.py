@@ -299,6 +299,13 @@ class FrequencyTable:
         return self.counts / self.total
 
 
+def _checked_seed(seed: int | None) -> int | None:
+    """Reject a negative seed before any work is paid for."""
+    if seed is not None and seed < 0:
+        raise InvariantViolation("seed must be a non-negative integer")
+    return seed
+
+
 def sample_frequencies(
     space: Prespace,
     context: Context,
@@ -327,9 +334,7 @@ def sample_frequencies(
         raise InvariantViolation(
             f"sample count must be at least 1 and at most {MAX_SAMPLE_COUNT}"
         )
-    seed = int(seed)
-    if seed < 0:
-        raise InvariantViolation("seed must be a non-negative integer")
+    seed = _checked_seed(int(seed))
     exact = measurement_distribution(
         space, context, variable, kernel, selector, selector_value
     )

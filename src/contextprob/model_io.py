@@ -21,9 +21,15 @@ from typing import Any
 
 import numpy as np
 
-from .dynamics import MAX_SAMPLE_COUNT, ContextualStatistics, PerturbationKernel
+from .dynamics import (
+    DEFAULT_SENSITIVITY_TOLERANCE,
+    MAX_SAMPLE_COUNT,
+    ContextualStatistics,
+    PerturbationKernel,
+)
 from .errors import DegenerateData, InvariantViolation
-from .prespace import Context, Prespace, RandomVariable
+from .interference import DEFAULT_CLASSIFY_TOLERANCE
+from .prespace import Context, Prespace, RandomVariable, context_probability
 
 SCHEMA_VERSION = 1
 
@@ -54,8 +60,8 @@ _VALUE_TYPES = {str, int, float}
 class AnalysisOptions:
     """Tunable knobs a model document may override."""
 
-    classify_tolerance: float = 1e-9
-    sensitivity_tolerance: float = 1e-9
+    classify_tolerance: float = DEFAULT_CLASSIFY_TOLERANCE
+    sensitivity_tolerance: float = DEFAULT_SENSITIVITY_TOLERANCE
     sample_size: int = 100_000
     seed: int = 0
 
@@ -155,9 +161,7 @@ def load_model(data: bytes | str) -> ExperimentModel:
     weights = _number_array(weights, "weights")
 
     points = doc.get("points")
-    if points is None:
-        points = [f"p{i + 1}" for i in range(len(weights))]
-    else:
+    if points is not None:
         if not isinstance(points, list) or not set(map(type, points)) <= {str}:
             _fail("points", "expected a list of strings")
         if len(points) != len(weights):
@@ -165,7 +169,10 @@ def load_model(data: bytes | str) -> ExperimentModel:
         if len(set(points)) != len(points):
             _fail("points", "point identifiers must be unique")
     try:
-        prespace = Prespace(points, weights)
+        if points is None:
+            prespace = Prespace.from_weights(weights)
+        else:
+            prespace = Prespace(points, weights)
     except InvariantViolation as exc:
         _fail("weights", str(exc))
 
@@ -212,7 +219,7 @@ def load_model(data: bytes | str) -> ExperimentModel:
             if not 0 <= member < size:
                 _fail(f"context[{k}]", f"index {member} out of range")
     context = Context(raw_context)
-    if float(prespace.weights[list(context.members)].sum()) <= 0.0:
+    if context_probability(prespace, context) <= 0.0:
         _fail("context", "context carries zero total weight")
 
     kernel = None
@@ -302,11 +309,9 @@ def ingest_contingency_table(data: bytes | str) -> ContextualStatistics:
     if rows[0] != TABLE_HEADER:
         _fail("header", f"expected {','.join(TABLE_HEADER)!r}, got {','.join(rows[0])!r}")
 
-    direct_counts: dict[str, int] = {}
-    sequential_counts: dict[tuple[str, str], int] = {}
-    selector_order: list[str] = []
-    outcome_order: list[str] = []
-
+    # One tally per (experiment, outcome_a, outcome_b); labels keep the
+    # order in which the rows first name them.
+    counts: dict[tuple[str, str, str], int] = {}
     for line, row in enumerate(rows[1:], start=2):
         path = f"row[{line}]"
         if len(row) != 4:
@@ -317,24 +322,20 @@ def ingest_contingency_table(data: bytes | str) -> ContextualStatistics:
         count = _count(raw_count, path)
         if not outcome_value:
             _fail(path, "outcome_b must not be empty")
-        if outcome_value not in outcome_order:
-            outcome_order.append(outcome_value)
         if experiment == DIRECT:
             if selector_value:
                 _fail(path, "direct rows must leave outcome_a empty")
-            direct_counts[outcome_value] = (
-                direct_counts.get(outcome_value, 0) + count
-            )
         elif experiment == SEQUENTIAL:
             if not selector_value:
                 _fail(path, "sequential rows need a non-empty outcome_a")
-            if selector_value not in selector_order:
-                selector_order.append(selector_value)
-            key = (selector_value, outcome_value)
-            sequential_counts[key] = sequential_counts.get(key, 0) + count
         else:
             _fail(path, f"experiment must be {DIRECT!r} or {SEQUENTIAL!r}, got {experiment!r}")
+        key = (experiment, selector_value, outcome_value)
+        counts[key] = counts.get(key, 0) + count
 
+    outcome_order = list(dict.fromkeys(outcome for _, _, outcome in counts))
+    # Only sequential rows name a selector value; direct rows leave it empty.
+    selector_order = list(dict.fromkeys(selector for _, selector, _ in counts if selector))
     if len(outcome_order) != 2:
         _fail(
             "outcome_b",
@@ -346,24 +347,20 @@ def ingest_contingency_table(data: bytes | str) -> ContextualStatistics:
             f"expected exactly 2 selector values, found {selector_order!r}",
         )
 
-    for counts in (direct_counts, sequential_counts):
-        if sum(counts.values()) > _MAX_COUNT:
-            _fail("count", "counts sum to more than a float can hold")
+    direct = [counts.get((DIRECT, "", o), 0) for o in outcome_order]
+    cells = [
+        [counts.get((SEQUENTIAL, s, o), 0) for o in outcome_order]
+        for s in selector_order
+    ]
+    if sum(direct) > _MAX_COUNT or sum(map(sum, cells)) > _MAX_COUNT:
+        _fail("count", "counts sum to more than a float can hold")
 
-    direct = np.array(
-        [direct_counts.get(value, 0) for value in outcome_order], dtype=float
-    )
+    direct = np.array(direct, dtype=float)
     direct_total = float(direct.sum())
     if direct_total == 0.0:
         raise DegenerateData("direct counts are all zero")
 
-    cells = np.array(
-        [
-            [sequential_counts.get((s, o), 0) for o in outcome_order]
-            for s in selector_order
-        ],
-        dtype=float,
-    )
+    cells = np.array(cells, dtype=float)
     row_totals = cells.sum(axis=1)
     for i, total in enumerate(row_totals):
         if total == 0.0:

@@ -89,7 +89,7 @@ class Prespace:
         """Uniform space on ``n`` auto-named points ``p1`` .. ``pn``."""
         if n < 1:
             raise InvariantViolation("a prespace needs at least one point")
-        return cls([f"p{i + 1}" for i in range(n)], np.full(n, 1.0 / n))
+        return cls.from_weights(np.full(n, 1.0 / n))
 
     @classmethod
     def from_weights(cls, weights: Sequence[float]) -> "Prespace":
@@ -237,13 +237,13 @@ def _check_variable(space: Prespace, variable: RandomVariable) -> None:
 
 
 def _member_indices(space: Prespace, context: Context) -> np.ndarray:
-    members = np.asarray(context.members, dtype=np.intp)
-    if members[-1] >= space.size:
+    # Checked on the Python ints, which may be beyond the intp range.
+    last = context.members[-1]
+    if last >= space.size:
         raise InvariantViolation(
-            f"context member {int(members[-1])} is out of range "
-            f"for a space of {space.size} points"
+            f"context member {last} is out of range for a space of {space.size} points"
         )
-    return members
+    return np.asarray(context.members, dtype=np.intp)
 
 
 def context_probability(space: Prespace, context: Context) -> float:

@@ -26,6 +26,7 @@ from .amplitudes import (
 )
 from .dynamics import (
     ContextualStatistics,
+    _checked_seed,
     contextual_statistics,
     is_contextually_sensitive,
 )
@@ -36,7 +37,7 @@ from .interference import (
     OutcomeInterference,
     analyze_interference,
 )
-from .model_io import AnalysisOptions, ExperimentModel
+from .model_io import AnalysisOptions, ExperimentModel, _text
 
 TOOL_NAME = "contextprob"
 REPORT_SCHEMA = 1
@@ -116,13 +117,6 @@ def analyze_model(
         input_digest=input_digest,
         seed=seed,
     )
-
-
-def _checked_seed(seed: int | None) -> int | None:
-    """Reject a negative seed before any analysis is paid for."""
-    if seed is not None and seed < 0:
-        raise InvariantViolation("seed must be a non-negative integer")
-    return seed
 
 
 def _statistics_document(statistics: ContextualStatistics) -> dict[str, Any]:
@@ -234,10 +228,10 @@ def emit_report(report: AnalysisReport) -> bytes:
 
 def load_report(data: bytes | str) -> AnalysisReport:
     """Inverse of :func:`emit_report`."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    text = _text(data)
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal beyond int()'s digit limit
         raise InvariantViolation(f"not valid JSON: {exc}") from None
     return from_document(doc)
 

@@ -341,6 +341,34 @@ class TestValidate:
         assert main(["validate", "--model", str(bad)]) == 2
 
 
+class TestUnwritableOut:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--model", str(EXAMPLES / "classical.json")],
+            ["analyze", "--table", str(EXAMPLES / "interference_table.csv")],
+            [
+                "sample",
+                "--model",
+                str(EXAMPLES / "classical.json"),
+                "--variable",
+                "screen",
+                "--n",
+                "10",
+            ],
+        ],
+        ids=["analyze-model", "analyze-table", "sample"],
+    )
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unwritable_out_exits_2(self, argv, target, tmp_path, capsysbinary):
+        out_path = tmp_path / "absent" / "out.json" if target == "missing-dir" else tmp_path
+        code, out, err = run(argv + ["--out", str(out_path)], capsysbinary)
+        assert code == 2
+        assert out == b""
+        lines = err.decode().splitlines()
+        assert lines == [lines[0]] and lines[0].startswith(f"error: cannot write {out_path}: ")
+
+
 class TestParser:
     def test_missing_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as info:

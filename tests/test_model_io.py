@@ -343,6 +343,25 @@ class TestIngestContingencyTable:
         assert stats.selector_labels == ("right", "left")
         np.testing.assert_allclose(stats.outcome_marginals, (0.25, 0.75), atol=0)
 
+        # A sequential row first, with the two families interleaved: the
+        # outcome order comes from both families together.
+        interleaved = (
+            "experiment,outcome_a,outcome_b,count\n"
+            "sequential,left,up,100\n"
+            "direct,,down,250\n"
+            "sequential,right,down,300\n"
+            "direct,,up,750\n"
+            "sequential,left,down,300\n"
+            "sequential,right,up,100\n"
+        )
+        stats = ingest_contingency_table(interleaved)
+        assert stats.outcome_labels == ("up", "down")
+        assert stats.selector_labels == ("left", "right")
+        np.testing.assert_allclose(stats.outcome_marginals, (0.75, 0.25), atol=0)
+        np.testing.assert_allclose(
+            stats.transition, ((0.25, 0.75), (0.25, 0.75)), atol=0
+        )
+
     def test_accepts_bytes_and_blank_lines(self):
         stats = ingest_contingency_table(("\n" + TABLE + "\n\n").encode())
         np.testing.assert_allclose(stats.outcome_marginals, (0.75, 0.25), atol=0)
@@ -560,6 +579,11 @@ class TestReportSerialization:
     def test_load_report_rejects_invalid_json(self):
         with pytest.raises(InvariantViolation, match="not valid JSON"):
             load_report(b"{")
+        with pytest.raises(InvariantViolation, match="not valid UTF-8"):
+            load_report(b"\xff\xfe")
+        # Beyond int()'s digit limit, json.loads raises a plain ValueError.
+        with pytest.raises(InvariantViolation, match="not valid JSON"):
+            load_report("9" * 5000)
 
 
 def _reference_encode(value, level):

@@ -179,6 +179,12 @@ class TestContextProbability:
         space = four_point_space()
         with pytest.raises(InvariantViolation):
             context_probability(space, Context([0, 9]))
+        # Members beyond the intp range are out of range, not an overflow.
+        for member in (2**63, 2**70):
+            with pytest.raises(InvariantViolation, match="out of range"):
+                context_probability(space, Context([0, member]))
+            with pytest.raises(InvariantViolation, match="out of range"):
+                conditional_distribution(space, Context([member]))
 
 
 class TestConditionalDistribution:
