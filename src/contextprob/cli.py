@@ -12,6 +12,8 @@ import hashlib
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .dynamics import sample_frequencies
 from .errors import (
     DegenerateContext,
@@ -137,7 +139,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        # Overflowing or inf - inf sums are refused by the checks; numpy's
+        # warnings about them would only add lines before the error.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.handler(args)
     except (InvariantViolation, UnknownValue, TypeMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

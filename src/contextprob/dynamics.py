@@ -11,7 +11,6 @@ outcome transition probabilities see the kernel.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
@@ -23,7 +22,7 @@ from .prespace import (
     Distribution,
     Prespace,
     RandomVariable,
-    WEIGHT_TOLERANCE,
+    _check_normalized,
     _frozen_array,
     conditional_distribution,
     filter_context,
@@ -57,25 +56,7 @@ class PerturbationKernel:
             raise InvariantViolation(
                 f"kernel must be a square matrix, got shape {m.shape}"
             )
-        row_sums = m.sum(axis=1)
-        # Checked whole first: NaN fails both comparisons, and an infinite
-        # entry makes its row sum fail.  Rows are inspected only after that.
-        if m.size and not (
-            m.min() >= 0.0 and np.abs(row_sums - 1.0).max() <= WEIGHT_TOLERANCE
-        ):
-            finite = np.isfinite(m).all(axis=1)
-            non_negative = (m >= 0.0).all(axis=1)
-            bad = np.flatnonzero(
-                ~(finite & non_negative & (np.abs(row_sums - 1.0) <= WEIGHT_TOLERANCE))
-            )
-            i = int(bad[0])
-            if not finite[i]:
-                message = "entries must be finite"
-            elif not non_negative[i]:
-                message = "entries must be non-negative"
-            else:
-                message = f"row sums to {float(row_sums[i])!r}, expected 1"
-            raise InvariantViolation(message, path=f"kernel.row[{i}]")
+        _check_normalized(m, "kernel")
         object.__setattr__(self, "matrix", _frozen_array(m))
 
     @classmethod
@@ -166,24 +147,9 @@ class ContextualStatistics:
             raise InvariantViolation("marginals must be length-2 vectors")
         if t.shape != (2, 2):
             raise InvariantViolation("transition must be a 2x2 matrix")
-        for name, vec in (("selector marginals", sel), ("outcome marginals", out)):
-            # A finite sum means finite entries; look at them only otherwise.
-            total = float(vec.sum())
-            if (not math.isfinite(total) and not np.isfinite(vec).all()) or vec.min() < 0.0:
-                raise InvariantViolation(f"{name} must be non-negative and finite")
-            if abs(total - 1.0) > STATISTICS_TOLERANCE:
-                raise InvariantViolation(
-                    f"{name} must sum to 1 within {STATISTICS_TOLERANCE}"
-                )
-        # min and max propagate NaN, which fails both comparisons.
-        if not (t.min() >= 0.0 and t.max() <= 1.0 + STATISTICS_TOLERANCE):
-            raise InvariantViolation("transition entries must lie in [0, 1]")
-        row_sums = t.sum(axis=1).tolist()
-        if any(abs(row - 1.0) > STATISTICS_TOLERANCE for row in row_sums):
-            raise InvariantViolation(
-                f"transition rows must sum to 1 within {STATISTICS_TOLERANCE}, "
-                f"got {row_sums!r}"
-            )
+        _check_normalized(sel, "selector marginals", STATISTICS_TOLERANCE)
+        _check_normalized(out, "outcome marginals", STATISTICS_TOLERANCE)
+        _check_normalized(t, "transition", STATISTICS_TOLERANCE)
         object.__setattr__(self, "selector_labels", selector_labels)
         object.__setattr__(self, "outcome_labels", outcome_labels)
         object.__setattr__(self, "selector_marginals", sel)
@@ -299,11 +265,21 @@ class FrequencyTable:
         return self.counts / self.total
 
 
-def _checked_seed(seed: int | None) -> int | None:
+def _checked_seed(seed: int | None, path: str | None = None) -> int | None:
     """Reject a negative seed before any work is paid for."""
     if seed is not None and seed < 0:
-        raise InvariantViolation("seed must be a non-negative integer")
+        raise InvariantViolation("seed must be a non-negative integer", path=path)
     return seed
+
+
+def _checked_sample_count(n: int, path: str | None = None) -> int:
+    """Reject a draw count that is not positive or overflows the counts."""
+    if not 1 <= n <= MAX_SAMPLE_COUNT:
+        raise InvariantViolation(
+            f"sample count must be at least 1 and at most {MAX_SAMPLE_COUNT}",
+            path=path,
+        )
+    return n
 
 
 def sample_frequencies(
@@ -329,11 +305,7 @@ def sample_frequencies(
     versions, which placed each draw by binary search, for the same
     ``(seed, n)``.  ``n`` may not exceed the int64 count range.
     """
-    n = int(n)
-    if not 1 <= n <= MAX_SAMPLE_COUNT:
-        raise InvariantViolation(
-            f"sample count must be at least 1 and at most {MAX_SAMPLE_COUNT}"
-        )
+    n = _checked_sample_count(int(n))
     seed = _checked_seed(int(seed))
     exact = measurement_distribution(
         space, context, variable, kernel, selector, selector_value

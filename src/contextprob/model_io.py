@@ -23,9 +23,10 @@ import numpy as np
 
 from .dynamics import (
     DEFAULT_SENSITIVITY_TOLERANCE,
-    MAX_SAMPLE_COUNT,
     ContextualStatistics,
     PerturbationKernel,
+    _checked_sample_count,
+    _checked_seed,
 )
 from .errors import DegenerateData, InvariantViolation
 from .interference import DEFAULT_CLASSIFY_TOLERANCE
@@ -263,18 +264,13 @@ def _load_options(raw: Any) -> AnalysisOptions:
                 _fail(f"options.{key}", "tolerance must be positive")
             fields[key] = value
     if "sample_size" in raw:
-        value = _require_int(raw["sample_size"], "options.sample_size")
-        if not 1 <= value <= MAX_SAMPLE_COUNT:
-            _fail(
-                "options.sample_size",
-                f"sample size must be at least 1 and at most {MAX_SAMPLE_COUNT}",
-            )
-        fields["sample_size"] = value
+        path = "options.sample_size"
+        fields["sample_size"] = _checked_sample_count(
+            _require_int(raw["sample_size"], path), path
+        )
     if "seed" in raw:
-        value = _require_int(raw["seed"], "options.seed")
-        if value < 0:
-            _fail("options.seed", "seed must be non-negative")
-        fields["seed"] = value
+        path = "options.seed"
+        fields["seed"] = _checked_seed(_require_int(raw["seed"], path), path)
     return AnalysisOptions(**fields)
 
 

@@ -45,21 +45,41 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return out
 
 
-def _check_normalized(m: np.ndarray, noun: str) -> None:
-    """Raise for the first of: a non-finite entry, a negative one, a bad sum.
+def _check_normalized(
+    m: np.ndarray, noun: str, tolerance: float = WEIGHT_TOLERANCE
+) -> None:
+    """Check a probability vector, or each row of a stochastic matrix.
 
-    A finite sum means every entry is finite, so the entries themselves are
-    only inspected when the sum is not.
+    Entries must be finite and non-negative, and the vector or each row must
+    sum to 1 within ``tolerance``.  A matrix is checked whole, by its row
+    sums and its minimum, and its rows are walked only when that fails.  The
+    first of these is raised: a non-finite entry, a negative one, a bad sum;
+    a matrix's first bad row is named in the path ``noun.row[i]``.  A finite
+    sum means every entry is finite, so the entries themselves are only
+    inspected when the sum is not.
     """
-    total = float(m.sum())
-    if not math.isfinite(total) and not np.isfinite(m).all():
-        raise InvariantViolation(f"{noun} must be finite")
-    if m.size and m.min() < 0.0:
-        raise InvariantViolation(f"{noun} must be non-negative")
-    if abs(total - 1.0) > WEIGHT_TOLERANCE:
-        raise InvariantViolation(
-            f"{noun} must sum to 1 within {WEIGHT_TOLERANCE}, got {total!r}"
+    if m.ndim == 1:
+        rows = [(m, float(m.sum()), noun, None)]
+    else:
+        sums = m.sum(axis=1).tolist()
+        # NaN fails every comparison, so it always falls through to the walk.
+        if (not m.size or m.min() >= 0.0) and all(
+            abs(total - 1.0) <= tolerance for total in sums
+        ):
+            return
+        rows = (
+            (row, total, "row", f"{noun}.row[{i}]")
+            for i, (row, total) in enumerate(zip(m, sums))
         )
+    for row, total, name, path in rows:
+        if not math.isfinite(total) and not np.isfinite(row).all():
+            raise InvariantViolation(f"{name} must be finite", path=path)
+        if row.size and row.min() < 0.0:
+            raise InvariantViolation(f"{name} must be non-negative", path=path)
+        if abs(total - 1.0) > tolerance:
+            raise InvariantViolation(
+                f"{name} must sum to 1 within {tolerance}, got {total!r}", path=path
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +115,8 @@ class Prespace:
     def from_weights(cls, weights: Sequence[float]) -> "Prespace":
         """Space with auto-named points and the given weights."""
         w = np.asarray(weights, dtype=float)
-        return cls([f"p{i + 1}" for i in range(w.shape[0])], w)
+        # atleast_1d, so a scalar reaches the shape check instead of failing here
+        return cls([f"p{i + 1}" for i in range(len(np.atleast_1d(w)))], w)
 
     @property
     def size(self) -> int:

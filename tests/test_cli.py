@@ -124,6 +124,28 @@ class TestAnalyze:
             assert code == 2
             assert err.startswith(b"error:") and err.count(b"\n") == 1
 
+    @pytest.mark.parametrize("where", ["weights", "kernel"])
+    @pytest.mark.parametrize(
+        "row",
+        [
+            pytest.param([1e308, 1e308, 0.0, 0.0], id="overflowing-sum"),
+            pytest.param([float("inf"), float("-inf"), 0.0, 0.0], id="inf-pair"),
+        ],
+    )
+    def test_numpy_warnings_stay_out_of_the_error(self, where, row, tmp_path, capsysbinary):
+        doc = json.loads((EXAMPLES / "classical.json").read_text())
+        if where == "weights":
+            doc["weights"] = row
+        else:
+            doc["kernel"] = [row, [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))  # inf is written as Infinity
+        # pyproject.toml turns a RuntimeWarning into an error, so one that
+        # escapes main fails here even though pytest captures warnings.
+        code, out, err = run(["analyze", "--model", str(bad)], capsysbinary)
+        assert (code, out) == (2, b"")
+        assert err.startswith(b"error:") and err.count(b"\n") == 1
+
     def test_tiny_branches_have_zero_coefficients(self, tmp_path, capsysbinary):
         doc = json.loads((EXAMPLES / "classical.json").read_text())
         doc["weights"] = [5e-301, 0.5, 5e-301, 0.5]  # branch products underflow

@@ -146,12 +146,12 @@ class TestPerturbationKernel:
     @pytest.mark.parametrize(
         "row, message",
         [
-            pytest.param([math.nan, 1.0], "entries must be finite", id="nan"),
-            pytest.param([math.inf, 0.0], "entries must be finite", id="inf"),
-            pytest.param([-math.inf, 1.0], "entries must be finite", id="-inf"),
-            pytest.param([math.inf, -math.inf], "entries must be finite", id="inf-pair"),
-            pytest.param([1.5, -0.5], "entries must be non-negative", id="negative"),
-            pytest.param([0.5, 0.4], "row sums to 0.9, expected 1", id="bad-sum"),
+            pytest.param([math.nan, 1.0], "row must be finite", id="nan"),
+            pytest.param([math.inf, 0.0], "row must be finite", id="inf"),
+            pytest.param([-math.inf, 1.0], "row must be finite", id="-inf"),
+            pytest.param([math.inf, -math.inf], "row must be finite", id="inf-pair"),
+            pytest.param([1.5, -0.5], "row must be non-negative", id="negative"),
+            pytest.param([0.5, 0.4], "row must sum to 1 within 1e-12, got 0.9", id="bad-sum"),
         ],
     )
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -321,19 +321,25 @@ class TestContextualStatistics:
     @pytest.mark.parametrize(
         "vector, message",
         [
-            pytest.param([math.nan, 1.0], "must be non-negative and finite", id="nan"),
-            pytest.param([math.inf, 0.0], "must be non-negative and finite", id="inf"),
-            pytest.param([-math.inf, 1.0], "must be non-negative and finite", id="-inf"),
-            pytest.param([1.2, -0.2], "must be non-negative and finite", id="negative"),
-            pytest.param([0.7, 0.2], "must sum to 1 within 1e-10", id="bad-sum"),
-            pytest.param([1e308, 1e308], "must sum to 1 within 1e-10", id="overflowing-sum"),
+            pytest.param([math.nan, 1.0], "must be finite", id="nan"),
+            pytest.param([math.inf, 0.0], "must be finite", id="inf"),
+            pytest.param([-math.inf, 1.0], "must be finite", id="-inf"),
+            pytest.param([1.2, -0.2], "must be non-negative", id="negative"),
+            pytest.param(
+                [0.7, 0.2], "must sum to 1 within 1e-10, got 0.8999999999999999", id="bad-sum"
+            ),
+            pytest.param(
+                [1e308, 1e308], "must sum to 1 within 1e-10, got inf", id="overflowing-sum"
+            ),
         ],
     )
     @pytest.mark.parametrize("side", ["selector", "outcome"])
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_marginal_checks_keep_their_messages(self, side, vector, message):
         marginals = {"selector": (0.5, 0.5), "outcome": (0.5, 0.5), side: vector}
-        with pytest.raises(InvariantViolation, match=f"^{side} marginals {message}$"):
+        with pytest.raises(
+            InvariantViolation, match=f"^{re.escape(f'{side} marginals {message}')}$"
+        ):
             ContextualStatistics(
                 ("a", "b"),
                 ("x", "y"),
@@ -345,14 +351,20 @@ class TestContextualStatistics:
     @pytest.mark.parametrize(
         "row, message",
         [
-            pytest.param([math.nan, 1.0], "transition entries must lie in [0, 1]", id="nan"),
-            pytest.param([math.inf, 0.0], "transition entries must lie in [0, 1]", id="inf"),
-            pytest.param([-math.inf, 1.0], "transition entries must lie in [0, 1]", id="-inf"),
-            pytest.param([1.2, -0.2], "transition entries must lie in [0, 1]", id="negative"),
-            pytest.param([1.5, 0.0], "transition entries must lie in [0, 1]", id="above-one"),
+            pytest.param([math.nan, 1.0], "transition.row[0]: row must be finite", id="nan"),
+            pytest.param([math.inf, 0.0], "transition.row[0]: row must be finite", id="inf"),
+            pytest.param([-math.inf, 1.0], "transition.row[0]: row must be finite", id="-inf"),
+            pytest.param(
+                [1.2, -0.2], "transition.row[0]: row must be non-negative", id="negative"
+            ),
+            pytest.param(
+                [1.5, 0.0],
+                "transition.row[0]: row must sum to 1 within 1e-10, got 1.5",
+                id="above-one",
+            ),
             pytest.param(
                 [0.7, 0.2],
-                "transition rows must sum to 1 within 1e-10, got [0.8999999999999999, 1.0]",
+                "transition.row[0]: row must sum to 1 within 1e-10, got 0.8999999999999999",
                 id="bad-sum",
             ),
         ],
@@ -362,6 +374,87 @@ class TestContextualStatistics:
             ContextualStatistics(
                 ("a", "b"), ("x", "y"), (0.5, 0.5), (0.5, 0.5), [row, [0.5, 0.5]]
             )
+
+
+# Offsets from a sum of 1 on both sides of 1e-12 and of 1e-10.  Entries are
+# multiples of 2**-40, so every row sum is exact and no summation order can
+# move a row across its tolerance.
+_SUM_OFFSETS = [0.0, 2.0**-40, 2.0**-39, 2.0**-34, 2.0**-33]
+_SPECIAL_ENTRIES = [math.nan, math.inf, -math.inf, -0.25, -0.0, 0.0, 1e308]
+
+
+@st.composite
+def _near_stochastic_row(draw, length):
+    """A row summing to 1 plus a small offset, some entries made special."""
+    if length == 0:
+        return []
+    cuts = sorted(draw(st.lists(st.integers(0, 2**20), min_size=length - 1, max_size=length - 1)))
+    bounds = [0, *cuts, 2**20]
+    row = [(b - a) * 2.0**-20 for a, b in zip(bounds, bounds[1:])]
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    row[draw(st.integers(0, length - 1))] += sign * draw(st.sampled_from(_SUM_OFFSETS))
+    # Moving mass between entries keeps the sum but may make one negative.
+    shift = draw(st.sampled_from([0.0, 2.0**-40, 0.5]))
+    row[draw(st.integers(0, length - 1))] -= shift
+    row[draw(st.integers(0, length - 1))] += shift
+    swaps = st.tuples(st.integers(0, length - 1), st.sampled_from(_SPECIAL_ENTRIES))
+    for i, value in draw(st.lists(swaps, max_size=2)):
+        row[i] = value
+    return row
+
+
+def _reference_accepts(rows, tolerance):
+    """The rule written out per row: finite, non-negative, sums to 1."""
+    return all(
+        all(math.isfinite(x) and x >= 0.0 for x in row)
+        and abs(sum(row) - 1.0) <= tolerance
+        for row in rows
+    )
+
+
+def _accepts(build):
+    # Sums of 1e308 entries overflow and inf - inf is invalid; callers
+    # silence both, as the CLI does.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            build()
+        except InvariantViolation:
+            return False
+    return True
+
+
+class TestNormalizationRule:
+    @given(st.integers(0, 4).flatmap(_near_stochastic_row))
+    @settings(max_examples=200, deadline=None)
+    def test_distribution_follows_the_rule(self, masses):
+        accepted = _accepts(lambda: Distribution(range(len(masses)), masses))
+        assert accepted == _reference_accepts([masses], 1e-12)
+
+    @given(
+        st.integers(0, 3).flatmap(
+            lambda n: st.lists(_near_stochastic_row(n), min_size=n, max_size=n)
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_follows_the_rule(self, rows):
+        matrix = np.array(rows, dtype=float).reshape(len(rows), len(rows))
+        assert _accepts(lambda: PerturbationKernel(matrix)) == _reference_accepts(
+            rows, 1e-12
+        )
+
+    @given(
+        _near_stochastic_row(2),
+        _near_stochastic_row(2),
+        st.lists(_near_stochastic_row(2), min_size=2, max_size=2),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_statistics_follow_the_rule(self, selector, outcome, transition):
+        accepted = _accepts(
+            lambda: ContextualStatistics(
+                ("a", "b"), ("x", "y"), selector, outcome, transition
+            )
+        )
+        assert accepted == _reference_accepts([selector, outcome, *transition], 1e-10)
 
 
 class TestSensitivity:

@@ -56,6 +56,13 @@ class TestTypeInvariants:
         space = Prespace.uniform(5)
         np.testing.assert_allclose(space.weights, 0.2)
 
+    @pytest.mark.parametrize(
+        "weights, shape", [pytest.param(1.0, "()", id="scalar"), ([[0.5, 0.5]], "(1, 2)")]
+    )
+    def test_from_weights_needs_a_vector(self, weights, shape):
+        with pytest.raises(InvariantViolation, match=re.escape(f"got shape {shape}")):
+            Prespace.from_weights(weights)
+
     def test_context_must_be_non_empty(self):
         with pytest.raises(InvariantViolation):
             Context([])
