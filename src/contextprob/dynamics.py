@@ -11,6 +11,8 @@ outcome transition probabilities see the kernel.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
@@ -34,11 +36,12 @@ STATISTICS_TOLERANCE = 1e-10
 DEFAULT_SENSITIVITY_TOLERANCE = 1e-9
 
 # Samples are drawn in fixed-size chunks, each with its own child seed, so
-# the counts are reproducible whether chunks run serially or in parallel.
+# the counts are the same however many CPUs count the chunks.
 SAMPLE_CHUNK = 1 << 16
-# Each chunk's generator fills one reused buffer of this many draws at a
-# time.  Successive fills continue the stream, so the block size does not
-# change the draws; it divides SAMPLE_CHUNK, so no block straddles two chunks.
+# All workers together draw into one buffer of this many draws; each worker
+# refills its own equal slice.  Successive fills continue a chunk's stream,
+# so the slice size does not change the draws, and no fill straddles two
+# chunks.
 SAMPLE_BLOCK = 1 << 14
 # Counts are int64, so no call may ask for more draws than that holds.
 MAX_SAMPLE_COUNT = int(np.iinfo(np.int64).max)
@@ -282,6 +285,14 @@ def _checked_sample_count(n: int, path: str | None = None) -> int:
     return n
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on, or all of the machine's where unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def sample_frequencies(
     space: Prespace,
     context: Context,
@@ -296,14 +307,19 @@ def sample_frequencies(
 
     The stream is split into fixed ``SAMPLE_CHUNK``-sized chunks, each seeded
     from its own spawn of ``seed``, so the same ``(seed, n)`` always yields
-    the same counts no matter how the chunks are executed.  Draw ``u`` lands
-    on support value ``j`` when ``cumulative[j-1] <= u < cumulative[j]``.
-    Each chunk is drawn in ``SAMPLE_BLOCK``-sized blocks into one reused
-    buffer, and each block is counted by one comparison pass per cumulative
-    bound, so memory is one block whatever ``n`` is and the time grows with
-    the number of support values.  The counts are unchanged from earlier
-    versions, which placed each draw by binary search, for the same
-    ``(seed, n)``.  ``n`` may not exceed the int64 count range.
+    the same counts on any machine.  Draw ``u`` lands on support value ``j``
+    when ``cumulative[j-1] <= u < cumulative[j]``.  The chunks are counted
+    by one worker per usable CPU, at most one per chunk: worker ``w`` of
+    ``W`` takes chunks ``w``, ``w + W``, ...  The caller is worker 0 and
+    the others are threads, which run in parallel because drawing and
+    comparing release the GIL.  Each worker draws into its own slice of one
+    ``SAMPLE_BLOCK``-sized buffer and counts each fill by one comparison
+    pass per cumulative bound, so memory is one block whatever ``n`` is and
+    the time grows with the number of support values.  An exception in any
+    worker is raised here once every worker has stopped.  The counts are
+    unchanged from earlier versions, which placed each draw by binary
+    search, for the same ``(seed, n)``.  ``n`` may not exceed the int64
+    count range.
     """
     n = _checked_sample_count(int(n))
     seed = _checked_seed(int(seed))
@@ -311,21 +327,55 @@ def sample_frequencies(
         space, context, variable, kernel, selector, selector_value
     )
     bounds = np.cumsum(exact.masses)[:-1]
-    # below[j] counts the draws under bounds[j]; the last value takes the rest
-    below = np.zeros(len(exact.support), dtype=np.int64)
-    block = np.empty(min(n, SAMPLE_BLOCK))
+    n_chunks = -(-n // SAMPLE_CHUNK)
+    workers = min(_usable_cpus(), n_chunks)
+    # More than one worker means more than one chunk, so a block that is
+    # split between workers is a whole SAMPLE_BLOCK.
+    width = min(n, SAMPLE_BLOCK) // workers
+    block = np.empty(width * workers)
     mask = np.empty(len(block), dtype=bool)
-    root = np.random.SeedSequence(seed)
-    for start in range(0, n, SAMPLE_CHUNK):
-        (child,) = root.spawn(1)
-        generator = np.random.Generator(np.random.Philox(child))
-        for offset in range(start, min(n, start + SAMPLE_CHUNK), SAMPLE_BLOCK):
-            size = min(SAMPLE_BLOCK, n - offset)
-            uniforms = block[:size]
-            generator.random(out=uniforms)
-            for j, bound in enumerate(bounds):
-                below[j] += np.count_nonzero(
-                    np.less(uniforms, bound, out=mask[:size])
-                )
-    below[-1] = n
-    return FrequencyTable(exact.support, np.diff(below, prepend=0), n, seed)
+    # below[w, j] counts worker w's draws under bounds[j]; the last value
+    # takes the rest
+    below = np.zeros((workers, len(exact.support)), dtype=np.int64)
+    errors: list[BaseException] = []
+
+    def count(w: int) -> None:
+        """Add worker ``w``'s draws under each bound into ``below[w]``."""
+        own = slice(w * width, (w + 1) * width)
+        draws, flags, counts = block[own], mask[own], below[w]
+        for chunk in range(w, n_chunks, workers):
+            # the same seed as the chunk-th SeedSequence(seed).spawn(1) child
+            child = np.random.SeedSequence(seed, spawn_key=(chunk,))
+            generator = np.random.Generator(np.random.Philox(child))
+            start = chunk * SAMPLE_CHUNK
+            stop = min(n, start + SAMPLE_CHUNK)
+            for offset in range(start, stop, width):
+                size = min(width, stop - offset)
+                uniforms = draws[:size]
+                generator.random(out=uniforms)
+                for j, bound in enumerate(bounds):
+                    counts[j] += np.count_nonzero(
+                        np.less(uniforms, bound, out=flags[:size])
+                    )
+
+    def work(w: int) -> None:
+        try:
+            count(w)
+        except BaseException as exc:
+            errors.append(exc)
+
+    started = []
+    try:
+        for w in range(1, workers):
+            thread = threading.Thread(target=work, args=(w,), daemon=True)
+            thread.start()
+            started.append(thread)
+        count(0)
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
+    total = below.sum(axis=0)
+    total[-1] = n
+    return FrequencyTable(exact.support, np.diff(total, prepend=0), n, seed)

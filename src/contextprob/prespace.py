@@ -219,6 +219,14 @@ class Context:
     def full(cls, space: Prespace) -> "Context":
         return cls(range(space.size))
 
+    @classmethod
+    def _from_checked(cls, members: np.ndarray) -> "Context":
+        """A context from indices already sorted, unique, in range and not
+        empty, without ``__init__``'s per-member checks."""
+        context = object.__new__(cls)
+        object.__setattr__(context, "members", tuple(members.tolist()))
+        return context
+
     @property
     def size(self) -> int:
         return len(self.members)
@@ -378,4 +386,4 @@ def filter_context(
             f"points with {variable.name!r} = {value!r} carry zero weight "
             "in the context"
         )
-    return Context(kept)
+    return Context._from_checked(kept)

@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -128,6 +131,28 @@ def reference_counts(masses, n, seed):
         drawn = np.searchsorted(cumulative, uniforms, side="right")
         counts += np.bincount(drawn, minlength=len(masses))
     return counts
+
+
+def many_weights(size, seed):
+    """Up to a thousand weights mixing zeros, near-ties, small integers and
+    uniform floats, so many cumulative bounds repeat or nearly repeat."""
+    rng = np.random.default_rng(seed)
+    kinds = rng.choice(4, size, p=rng.dirichlet(np.ones(4)))
+    weights = np.select(
+        [kinds == 0, kinds == 1, kinds == 2],
+        # a 1e-20 weight leaves the cumulative sum where it was
+        [0.0, 1e-20, rng.integers(1, 4, size).astype(float)],
+        rng.uniform(1e-9, 1.0, size),
+    )
+    weights[rng.integers(size)] = 1.0
+    return weights.tolist()
+
+
+def use_cpus(monkeypatch, count):
+    """Make the sampler see ``count`` usable CPUs."""
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: set(range(count)), raising=False
+    )
 
 
 class TestPerturbationKernel:
@@ -557,16 +582,19 @@ class TestSampleFrequencies:
         assert table.counts.tolist() == counts
 
     @given(
-        weights=st.lists(
-            st.one_of(
-                st.just(0.0),
-                st.integers(1, 3).map(float),
-                st.floats(1e-9, 1.0),
-            ),
-            min_size=1,
-            # many-valued alphabets too, whose blocks meet many bounds
-            max_size=40,
-        ).filter(lambda w: sum(w) > 0.0),
+        weights=st.one_of(
+            st.lists(
+                st.one_of(
+                    st.just(0.0),
+                    st.integers(1, 3).map(float),
+                    st.floats(1e-9, 1.0),
+                ),
+                min_size=1,
+                max_size=40,
+            ).filter(lambda w: sum(w) > 0.0),
+            # many-valued alphabets too, whose blocks meet many tied bounds
+            st.builds(many_weights, st.integers(41, 1000), st.integers(0, 2**32)),
+        ),
         n=st.one_of(
             st.integers(1, 3 * SAMPLE_CHUNK),
             st.builds(
@@ -593,6 +621,85 @@ class TestSampleFrequencies:
         np.testing.assert_array_equal(
             table.counts, reference_counts(masses, n, seed)
         )
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            1,
+            SAMPLE_CHUNK - 1,
+            SAMPLE_CHUNK + 1,
+            2 * SAMPLE_CHUNK,
+            3 * SAMPLE_CHUNK - 1,
+            3 * SAMPLE_CHUNK,
+            5 * SAMPLE_CHUNK + 1,
+            9 * SAMPLE_CHUNK - 1,
+        ],
+    )
+    @pytest.mark.parametrize("model", [three_valued_model, twenty_valued_model])
+    def test_worker_count_does_not_change_counts(self, monkeypatch, model, n):
+        space, variable = model()
+        context = Context.full(space)
+        real_philox = np.random.Philox
+        drawn_by = {}
+
+        def philox(child):
+            (chunk,) = child.spawn_key
+            drawn_by[chunk] = threading.current_thread()
+            return real_philox(child)
+
+        monkeypatch.setattr(np.random, "Philox", philox)
+        chunks = -(-n // SAMPLE_CHUNK)
+        counts = []
+        for cpus in (1, 2, 3, 8):
+            use_cpus(monkeypatch, cpus)
+            drawn_by.clear()
+            counts.append(sample_frequencies(space, context, variable, n, 7).counts)
+            # chunk c is drawn by worker c mod W, worker 0 being the caller
+            workers = min(cpus, chunks)
+            assert sorted(drawn_by) == list(range(chunks))
+            assert len(set(drawn_by.values())) == workers
+            for chunk, thread in drawn_by.items():
+                assert thread is drawn_by[chunk % workers]
+            assert drawn_by[0] is threading.current_thread()
+        for other in counts[1:]:
+            np.testing.assert_array_equal(other, counts[0])
+        masses = measurement_distribution(space, context, variable).masses
+        np.testing.assert_array_equal(counts[0], reference_counts(masses, n, 7))
+
+    def test_counts_hold_under_frequent_thread_switches(self, monkeypatch):
+        # more workers than cores, switching as often as the interpreter can,
+        # so an update of shared counts lost between workers would show
+        space, variable = twenty_valued_model()
+        context = Context.full(space)
+        n = 9 * SAMPLE_CHUNK - 1
+        masses = measurement_distribution(space, context, variable).masses
+        use_cpus(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            table = sample_frequencies(space, context, variable, n, 11)
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(table.counts, reference_counts(masses, n, 11))
+
+    # with two workers, chunks 1 and 3 go to the thread and chunk 2 to the caller
+    @pytest.mark.parametrize("failing_chunk", [1, 3, 2])
+    def test_worker_failure_reaches_the_caller(self, monkeypatch, failing_chunk):
+        space, variable = three_valued_model()
+        context = Context.full(space)
+        real_philox = np.random.Philox
+
+        def philox(child):
+            if child.spawn_key == (failing_chunk,):
+                raise RuntimeError(f"chunk {failing_chunk} failed")
+            return real_philox(child)
+
+        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(np.random, "Philox", philox)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match=f"^chunk {failing_chunk} failed$"):
+            sample_frequencies(space, context, variable, 4 * SAMPLE_CHUNK, 7)
+        assert set(threading.enumerate()) == before
 
     def test_memory_does_not_grow_with_the_count(self):
         space, variable = two_valued_model()

@@ -305,6 +305,18 @@ class TestFilterContext:
         v = RandomVariable("screen", ["up", "down", "up", "down"])
         assert filter_context(space, Context.full(space), v, "down").members == (1, 3)
 
+    def test_result_equals_the_checked_context(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            space, selector, _, context = random_space(rng)
+            for value in selector.alphabet:
+                narrowed = filter_context(space, context, selector, value)
+                expected = Context(
+                    [i for i in context.members if selector.values[i] == value]
+                )
+                assert narrowed == expected
+                assert all(type(i) is int for i in narrowed.members)
+
     def test_empty_intersection_degenerate(self):
         space = four_point_space()
         v = RandomVariable("screen", ["up", "down", "up", "down"])
