@@ -25,6 +25,7 @@ from .prespace import (
     Prespace,
     RandomVariable,
     _check_normalized,
+    _checked_int,
     _frozen_array,
     conditional_distribution,
     filter_context,
@@ -65,7 +66,7 @@ class PerturbationKernel:
     @classmethod
     def identity(cls, n: int) -> "PerturbationKernel":
         """The do-nothing kernel: measurement filters but does not disturb."""
-        return cls(np.eye(n))
+        return cls(np.eye(_checked_int(n)))
 
     @property
     def size(self) -> int:
@@ -246,37 +247,38 @@ class FrequencyTable:
         self, support: Sequence[Hashable], counts: Sequence[int], total: int, seed: int
     ):
         support = tuple(support)
-        c = np.asarray(counts, dtype=np.int64)
-        if c.ndim != 1 or c.shape[0] != len(support):
+        if np.ndim(counts) != 1 or len(counts) != len(support):
             raise InvariantViolation("one count per support value required")
-        if np.any(c < 0):
+        if isinstance(counts, np.ndarray) and counts.dtype.kind in "iu":
+            counts = counts.tolist()  # checked by its dtype; Python ints sum exactly
+        else:
+            counts = [_checked_int(count) for count in counts]
+        if min(counts, default=0) < 0:
             raise InvariantViolation("counts must be non-negative")
-        total = int(total)
-        if total < 1:
-            raise InvariantViolation("total must be at least 1")
-        if int(c.sum()) != total:
-            raise InvariantViolation(
-                f"counts sum to {int(c.sum())}, expected total {total}"
-            )
+        total = _checked_sample_count(total)  # so each count fits in int64
+        if sum(counts) != total:
+            raise InvariantViolation(f"counts sum to {sum(counts)}, expected total {total}")
         object.__setattr__(self, "support", support)
-        object.__setattr__(self, "counts", _frozen_array(c, dtype=np.int64))
+        object.__setattr__(self, "counts", _frozen_array(counts, dtype=np.int64))
         object.__setattr__(self, "total", total)
-        object.__setattr__(self, "seed", int(seed))
+        object.__setattr__(self, "seed", _checked_seed(seed))
 
     @property
     def frequencies(self) -> np.ndarray:
         return self.counts / self.total
 
 
-def _checked_seed(seed: int | None, path: str | None = None) -> int | None:
-    """Reject a negative seed before any work is paid for."""
-    if seed is not None and seed < 0:
+def _checked_seed(seed: int, path: str | None = None) -> int:
+    """Reject a seed that is not a non-negative integer before any work is paid for."""
+    seed = _checked_int(seed, path)
+    if seed < 0:
         raise InvariantViolation("seed must be a non-negative integer", path=path)
     return seed
 
 
 def _checked_sample_count(n: int, path: str | None = None) -> int:
-    """Reject a draw count that is not positive or overflows the counts."""
+    """Reject a draw count that is not a positive integer or overflows the counts."""
+    n = _checked_int(n, path)
     if not 1 <= n <= MAX_SAMPLE_COUNT:
         raise InvariantViolation(
             f"sample count must be at least 1 and at most {MAX_SAMPLE_COUNT}",
@@ -321,8 +323,8 @@ def sample_frequencies(
     search, for the same ``(seed, n)``.  ``n`` may not exceed the int64
     count range.
     """
-    n = _checked_sample_count(int(n))
-    seed = _checked_seed(int(seed))
+    n = _checked_sample_count(n)
+    seed = _checked_seed(seed)
     exact = measurement_distribution(
         space, context, variable, kernel, selector, selector_value
     )

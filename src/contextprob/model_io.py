@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Any
@@ -30,7 +31,7 @@ from .dynamics import (
 )
 from .errors import DegenerateData, InvariantViolation
 from .interference import DEFAULT_CLASSIFY_TOLERANCE
-from .prespace import Context, Prespace, RandomVariable, context_probability
+from .prespace import Context, Prespace, RandomVariable, _checked_int, context_probability
 
 SCHEMA_VERSION = 1
 
@@ -135,12 +136,6 @@ def _text(data: bytes | str) -> str:
         ) from None
 
 
-def _require_int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, f"expected an integer, got {value!r}")
-    return int(value)
-
-
 def load_model(data: bytes | str) -> ExperimentModel:
     """Parse and validate a JSON model document."""
     text = _text(data)
@@ -188,10 +183,14 @@ def load_model(data: bytes | str) -> ExperimentModel:
             _fail(path, "expected a list of values")
         if len(values) != size:
             _fail(path, f"{len(values)} values for {size} points")
-        if not set(map(type, values)) <= _VALUE_TYPES:
+        types = set(map(type, values))
+        # Only a float can be NaN or infinite, which no report could print.
+        if not types <= _VALUE_TYPES or float in types:
             for i, value in enumerate(values):
                 if type(value) not in _VALUE_TYPES:
                     _fail(f"{path}[{i}]", f"values must be strings or numbers, got {value!r}")
+                if type(value) is float and not math.isfinite(value):
+                    _fail(f"{path}[{i}]", f"values must be finite, got {value!r}")
         variables[name] = RandomVariable(name, values)
 
     selector_name = doc.get("selector")
@@ -214,7 +213,7 @@ def load_model(data: bytes | str) -> ExperimentModel:
     # Checked whole; walked to the first bad entry only when that fails.
     if set(map(type, raw_context)) != {int}:
         for k, member in enumerate(raw_context):
-            _require_int(member, f"context[{k}]")
+            _checked_int(member, f"context[{k}]")
     if min(raw_context) < 0 or max(raw_context) >= size:
         for k, member in enumerate(raw_context):
             if not 0 <= member < size:
@@ -259,18 +258,16 @@ def _load_options(raw: Any) -> AnalysisOptions:
     fields: dict[str, Any] = {}
     for key in ("classify_tolerance", "sensitivity_tolerance"):
         if key in raw:
-            value = _require_number(raw[key], f"options.{key}")
+            path = f"options.{key}"
+            value = _require_number(raw[key], path)
+            if not math.isfinite(value):
+                _fail(path, f"tolerance must be finite, got {value!r}")
             if value <= 0.0:
-                _fail(f"options.{key}", "tolerance must be positive")
+                _fail(path, "tolerance must be positive")
             fields[key] = value
-    if "sample_size" in raw:
-        path = "options.sample_size"
-        fields["sample_size"] = _checked_sample_count(
-            _require_int(raw["sample_size"], path), path
-        )
-    if "seed" in raw:
-        path = "options.seed"
-        fields["seed"] = _checked_seed(_require_int(raw["seed"], path), path)
+    for key, check in (("sample_size", _checked_sample_count), ("seed", _checked_seed)):
+        if key in raw:
+            fields[key] = check(raw[key], f"options.{key}")
     return AnalysisOptions(**fields)
 
 

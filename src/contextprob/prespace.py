@@ -45,6 +45,17 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return out
 
 
+def _checked_int(value, path: str | None = None) -> int:
+    """A count, seed, size or index as an int; unlike int(), never truncates or parses."""
+    try:
+        # bools by type: numpy versions differ on whether np.bool_ has __index__
+        if not isinstance(value, (bool, np.bool_)):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise InvariantViolation(f"expected an integer, got {value!r}", path=path)
+
+
 def _check_normalized(
     m: np.ndarray, noun: str, tolerance: float = WEIGHT_TOLERANCE
 ) -> None:
@@ -107,6 +118,7 @@ class Prespace:
     @classmethod
     def uniform(cls, n: int) -> "Prespace":
         """Uniform space on ``n`` auto-named points ``p1`` .. ``pn``."""
+        n = _checked_int(n)
         if n < 1:
             raise InvariantViolation("a prespace needs at least one point")
         return cls.from_weights(np.full(n, 1.0 / n))
@@ -195,20 +207,16 @@ class Context:
                 )
             cleaned = sorted(set(members.tolist()))
         else:
-            # operator.index takes Python and numpy integers and, unlike
-            # int(), refuses 2.9 instead of truncating it.  It also takes
-            # bool, an int subclass, so booleans are refused separately.
             # Members are read twice, so anything but a sequence is copied.
             if not isinstance(members, collections.abc.Sequence):
                 members = list(members)
-            try:
-                cleaned = sorted(set(map(operator.index, members)))
-            except TypeError as exc:
-                raise InvariantViolation(f"context members must be integers: {exc}")
-            if bool in set(map(type, members)):
-                raise InvariantViolation(
-                    "context members must be integers, not booleans"
-                )
+            # Plain ints pass on their type, which also refuses bool.
+            if not set(map(type, members)) <= {int}:
+                try:
+                    members = [_checked_int(member) for member in members]
+                except InvariantViolation as exc:
+                    raise InvariantViolation(f"context members must be integers: {exc}")
+            cleaned = sorted(set(members))
         if not cleaned:
             raise InvariantViolation("a context needs at least one member")
         if cleaned[0] < 0:

@@ -69,7 +69,7 @@ def analyze_statistics(
     Degenerate or mixed regimes come back as reports with null amplitudes,
     never as errors.
     """
-    seed = _checked_seed(seed)
+    seed = None if seed is None else _checked_seed(seed)
     options = options or AnalysisOptions()
     report = analyze_interference(statistics, options.classify_tolerance)
     regime = report.regime
@@ -103,7 +103,7 @@ def analyze_model(
     seed: int | None = None,
 ) -> AnalysisReport:
     """Measure a loaded model and analyze the resulting statistics."""
-    seed = _checked_seed(model.options.seed if seed is None else int(seed))
+    seed = model.options.seed if seed is None else _checked_seed(seed)
     statistics = contextual_statistics(
         model.prespace,
         model.context,

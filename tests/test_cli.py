@@ -146,6 +146,33 @@ class TestAnalyze:
         assert (code, out) == (2, b"")
         assert err.startswith(b"error:") and err.count(b"\n") == 1
 
+    @pytest.mark.parametrize("command", ["analyze", "sample"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "field, location",
+        [
+            ("classify_tolerance", "options.classify_tolerance"),
+            ("sensitivity_tolerance", "options.sensitivity_tolerance"),
+            ("energy", "variables.energy[1]"),
+        ],
+    )
+    def test_non_finite_number_exits_2_at_its_location(
+        self, command, value, field, location, tmp_path, capsysbinary
+    ):
+        doc = json.loads((EXAMPLES / "classical.json").read_text())
+        if field == "energy":
+            doc["variables"]["energy"] = [0.5, value, 1.5, 2.5]
+        else:
+            doc["options"][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))  # written as NaN or Infinity
+        argv = [command, "--model", str(bad)]
+        if command == "sample":
+            argv += ["--variable", "screen", "--n", "10"]
+        code, out, err = run(argv, capsysbinary)
+        assert (code, out) == (2, b"")
+        assert err.startswith(f"error: {location}: ".encode()) and err.count(b"\n") == 1
+
     def test_tiny_branches_have_zero_coefficients(self, tmp_path, capsysbinary):
         doc = json.loads((EXAMPLES / "classical.json").read_text())
         doc["weights"] = [5e-301, 0.5, 5e-301, 0.5]  # branch products underflow

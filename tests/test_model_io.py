@@ -311,6 +311,36 @@ class TestLoadModel:
         assert model.options.sample_size == 1000
         assert model.options.classify_tolerance == 1e-9
 
+    @pytest.mark.parametrize("key", ["classify_tolerance", "sensitivity_tolerance"])
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            pytest.param(math.nan, "tolerance must be finite, got nan", id="nan"),
+            pytest.param(math.inf, "tolerance must be finite, got inf", id="inf"),
+            pytest.param(-math.inf, "tolerance must be finite, got -inf", id="-inf"),
+            pytest.param(0.0, "tolerance must be positive", id="zero"),
+            pytest.param(-1e-9, "tolerance must be positive", id="negative"),
+        ],
+    )
+    def test_tolerance_must_be_finite_and_positive(self, key, value, message):
+        with pytest.raises(InvariantViolation) as info:
+            load_model(model_text(options={key: value}))  # nan is written as NaN
+        assert str(info.value) == f"options.{key}: {message}"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_variable_value_is_located(self, value):
+        variables = model_document()["variables"]
+        variables["energy"] = [0.5, 2, value, True]
+        with pytest.raises(InvariantViolation) as info:
+            load_model(model_text(variables=variables))
+        assert str(info.value) == f"variables.energy[2]: values must be finite, got {value!r}"
+
+    @pytest.mark.parametrize("values", [[0.5, 2, 1e308, -0.0], ["x", 1.5, "y", 3]])
+    def test_finite_float_values_are_kept(self, values):
+        variables = dict(model_document()["variables"], energy=values)
+        model = load_model(model_text(variables=variables))
+        assert model.variables["energy"].values == tuple(values)
+
 
 class TestIngestContingencyTable:
     def test_interference_from_counts(self):
