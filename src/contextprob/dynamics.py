@@ -24,6 +24,7 @@ from .prespace import (
     Distribution,
     Prespace,
     RandomVariable,
+    _built,
     _check_normalized,
     _checked_int,
     _frozen_array,
@@ -39,10 +40,9 @@ DEFAULT_SENSITIVITY_TOLERANCE = 1e-9
 # Samples are drawn in fixed-size chunks, each with its own child seed, so
 # the counts are the same however many CPUs count the chunks.
 SAMPLE_CHUNK = 1 << 16
-# All workers together draw into one buffer of this many draws; each worker
-# refills its own equal slice.  Successive fills continue a chunk's stream,
-# so the slice size does not change the draws, and no fill straddles two
-# chunks.
+# Each worker refills its own equal share of this many draws.  Successive
+# fills continue a chunk's stream, so the share does not change the draws,
+# and no fill straddles two chunks.
 SAMPLE_BLOCK = 1 << 14
 # Counts are int64, so no call may ask for more draws than that holds.
 MAX_SAMPLE_COUNT = int(np.iinfo(np.int64).max)
@@ -66,7 +66,10 @@ class PerturbationKernel:
     @classmethod
     def identity(cls, n: int) -> "PerturbationKernel":
         """The do-nothing kernel: measurement filters but does not disturb."""
-        return cls(np.eye(_checked_int(n)))
+        n = _checked_int(n)
+        if n < 1:
+            raise InvariantViolation("a kernel needs at least one point")
+        return cls(np.eye(n))
 
     @property
     def size(self) -> int:
@@ -86,7 +89,8 @@ def apply_kernel(
         raise InvariantViolation(
             "distribution support does not match the space"
         )
-    return Distribution(space.points, distribution.masses @ kernel.matrix)
+    masses = distribution.masses @ kernel.matrix
+    return _built(Distribution, support=space.points, masses=masses)
 
 
 def transition_probabilities(
@@ -181,12 +185,13 @@ def contextual_statistics(
     selector_marginals = variable_distribution(space, selector, context)
     outcome_marginals = variable_distribution(space, outcome, context)
     transition = transition_probabilities(space, context, selector, outcome, kernel)
-    return ContextualStatistics(
-        selector.alphabet,
-        outcome.alphabet,
-        selector_marginals.masses,
-        outcome_marginals.masses,
-        transition,
+    return _built(
+        ContextualStatistics,
+        selector_labels=selector.alphabet,
+        outcome_labels=outcome.alphabet,
+        selector_marginals=selector_marginals.masses,
+        outcome_marginals=outcome_marginals.masses,
+        transition=transition,
     )
 
 
@@ -247,7 +252,8 @@ class FrequencyTable:
         self, support: Sequence[Hashable], counts: Sequence[int], total: int, seed: int
     ):
         support = tuple(support)
-        if np.ndim(counts) != 1 or len(counts) != len(support):
+        # dtype=object lets a ragged nesting reach the member check
+        if np.shape(np.array(counts, dtype=object)) != (len(support),):
             raise InvariantViolation("one count per support value required")
         if isinstance(counts, np.ndarray) and counts.dtype.kind in "iu":
             counts = counts.tolist()  # checked by its dtype; Python ints sum exactly
@@ -314,14 +320,14 @@ def sample_frequencies(
     by one worker per usable CPU, at most one per chunk: worker ``w`` of
     ``W`` takes chunks ``w``, ``w + W``, ...  The caller is worker 0 and
     the others are threads, which run in parallel because drawing and
-    comparing release the GIL.  Each worker draws into its own slice of one
-    ``SAMPLE_BLOCK``-sized buffer and counts each fill by one comparison
-    pass per cumulative bound, so memory is one block whatever ``n`` is and
-    the time grows with the number of support values.  An exception in any
-    worker is raised here once every worker has stopped.  The counts are
-    unchanged from earlier versions, which placed each draw by binary
-    search, for the same ``(seed, n)``.  ``n`` may not exceed the int64
-    count range.
+    comparing release the GIL.  Each worker draws into its own buffer, the
+    buffers together one ``SAMPLE_BLOCK`` of draws, and counts each fill by
+    one comparison pass per cumulative bound, so memory is one block
+    whatever ``n`` is and the time grows with the number of support values.
+    An exception in any worker is raised here once every worker has
+    stopped.  The counts are unchanged from earlier versions, which placed
+    each draw by binary search, for the same ``(seed, n)``.  ``n`` may not
+    exceed the int64 count range.
     """
     n = _checked_sample_count(n)
     seed = _checked_seed(seed)
@@ -331,45 +337,39 @@ def sample_frequencies(
     bounds = np.cumsum(exact.masses)[:-1]
     n_chunks = -(-n // SAMPLE_CHUNK)
     workers = min(_usable_cpus(), n_chunks)
-    # More than one worker means more than one chunk, so a block that is
-    # split between workers is a whole SAMPLE_BLOCK.
+    # More than one worker means more than one chunk, so the workers'
+    # buffers together are a whole SAMPLE_BLOCK.
     width = min(n, SAMPLE_BLOCK) // workers
-    block = np.empty(width * workers)
-    mask = np.empty(len(block), dtype=bool)
     # below[w, j] counts worker w's draws under bounds[j]; the last value
-    # takes the rest
-    below = np.zeros((workers, len(exact.support)), dtype=np.int64)
+    # takes the rest of n
+    below = np.zeros((workers, len(bounds)), dtype=np.int64)
     errors: list[BaseException] = []
 
     def count(w: int) -> None:
         """Add worker ``w``'s draws under each bound into ``below[w]``."""
-        own = slice(w * width, (w + 1) * width)
-        draws, flags, counts = block[own], mask[own], below[w]
-        for chunk in range(w, n_chunks, workers):
-            # the same seed as the chunk-th SeedSequence(seed).spawn(1) child
-            child = np.random.SeedSequence(seed, spawn_key=(chunk,))
-            generator = np.random.Generator(np.random.Philox(child))
-            start = chunk * SAMPLE_CHUNK
-            stop = min(n, start + SAMPLE_CHUNK)
-            for offset in range(start, stop, width):
-                size = min(width, stop - offset)
-                uniforms = draws[:size]
-                generator.random(out=uniforms)
-                for j, bound in enumerate(bounds):
-                    counts[j] += np.count_nonzero(
-                        np.less(uniforms, bound, out=flags[:size])
-                    )
-
-    def work(w: int) -> None:
         try:
-            count(w)
+            draws, flags = np.empty(width), np.empty(width, dtype=bool)
+            for chunk in range(w, n_chunks, workers):
+                # the same seed as the chunk-th SeedSequence(seed).spawn(1) child
+                child = np.random.SeedSequence(seed, spawn_key=(chunk,))
+                generator = np.random.Generator(np.random.Philox(child))
+                start = chunk * SAMPLE_CHUNK
+                stop = min(n, start + SAMPLE_CHUNK)
+                for offset in range(start, stop, width):
+                    size = min(width, stop - offset)
+                    uniforms = draws[:size]
+                    generator.random(out=uniforms)
+                    for j, bound in enumerate(bounds):
+                        below[w, j] += np.count_nonzero(
+                            np.less(uniforms, bound, out=flags[:size])
+                        )
         except BaseException as exc:
             errors.append(exc)
 
     started = []
     try:
         for w in range(1, workers):
-            thread = threading.Thread(target=work, args=(w,), daemon=True)
+            thread = threading.Thread(target=count, args=(w,), daemon=True)
             thread.start()
             started.append(thread)
         count(0)
@@ -378,6 +378,5 @@ def sample_frequencies(
             thread.join()
     if errors:
         raise errors[0]
-    total = below.sum(axis=0)
-    total[-1] = n
-    return FrequencyTable(exact.support, np.diff(total, prepend=0), n, seed)
+    counts = np.diff(below.sum(axis=0), prepend=0, append=n)
+    return FrequencyTable(exact.support, counts, n, seed)

@@ -31,7 +31,9 @@ from .dynamics import (
 )
 from .errors import DegenerateData, InvariantViolation
 from .interference import DEFAULT_CLASSIFY_TOLERANCE
-from .prespace import Context, Prespace, RandomVariable, _checked_int, context_probability
+from .prespace import (
+    Context, Prespace, RandomVariable, _built, _checked_int, context_probability
+)
 
 SCHEMA_VERSION = 1
 
@@ -361,9 +363,10 @@ def ingest_contingency_table(data: bytes | str) -> ContextualStatistics:
                 f"sequential counts for selector {selector_order[i]!r} are all zero"
             )
 
-    return ContextualStatistics(
-        selector_labels=selector_order,
-        outcome_labels=outcome_order,
+    return _built(
+        ContextualStatistics,
+        selector_labels=tuple(selector_order),
+        outcome_labels=tuple(outcome_order),
         selector_marginals=row_totals / row_totals.sum(),
         outcome_marginals=direct / direct_total,
         transition=cells / row_totals[:, np.newaxis],

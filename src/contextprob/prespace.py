@@ -45,6 +45,16 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return out
 
 
+def _built(cls, **fields):
+    """A frozen ``cls`` from fields derived from checked input; checks nothing."""
+    instance = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False  # as the constructors leave them
+        object.__setattr__(instance, name, value)
+    return instance
+
+
 def _checked_int(value, path: str | None = None) -> int:
     """A count, seed, size or index as an int; unlike int(), never truncates or parses."""
     try:
@@ -65,14 +75,15 @@ def _check_normalized(
     sum to 1 within ``tolerance``.  A matrix is checked whole, by its row
     sums and its minimum, and its rows are walked only when that fails.  The
     first of these is raised: a non-finite entry, a negative one, a bad sum;
-    a matrix's first bad row is named in the path ``noun.row[i]``.  A finite
-    sum means every entry is finite, so the entries themselves are only
-    inspected when the sum is not.
+    a matrix's first bad row is named in the path ``noun.row[i]``.  Only a
+    non-finite sum can hide a non-finite entry, so entries are inspected only
+    then; sums that overflow or meet inf - inf raise no numpy warning.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = m.sum(axis=-1).tolist()  # a float for a vector
     if m.ndim == 1:
-        rows = [(m, float(m.sum()), noun, None)]
+        rows = [(m, sums, noun, None)]
     else:
-        sums = m.sum(axis=1).tolist()
         # NaN fails every comparison, so it always falls through to the walk.
         if (not m.size or m.min() >= 0.0) and all(
             abs(total - 1.0) <= tolerance for total in sums
@@ -225,15 +236,7 @@ class Context:
 
     @classmethod
     def full(cls, space: Prespace) -> "Context":
-        return cls(range(space.size))
-
-    @classmethod
-    def _from_checked(cls, members: np.ndarray) -> "Context":
-        """A context from indices already sorted, unique, in range and not
-        empty, without ``__init__``'s per-member checks."""
-        context = object.__new__(cls)
-        object.__setattr__(context, "members", tuple(members.tolist()))
-        return context
+        return _built(cls, members=tuple(range(space.size)))
 
     @property
     def size(self) -> int:
@@ -303,11 +306,11 @@ def conditional_distribution(space: Prespace, context: Context) -> Distribution:
         )
     masses = np.zeros(space.size)
     masses[members] = space.weights[members] / total
-    return Distribution(space.points, masses)
+    return _built(Distribution, support=space.points, masses=masses)
 
 
 def pushforward(variable: RandomVariable, masses: np.ndarray) -> Distribution:
-    """Image of a point distribution under the variable's value map."""
+    """Image of a point distribution's masses, taken as checked, under the value map."""
     m = np.asarray(masses, dtype=float)
     if m.shape[0] != len(variable.values):
         raise InvariantViolation(
@@ -317,7 +320,7 @@ def pushforward(variable: RandomVariable, masses: np.ndarray) -> Distribution:
     image = np.bincount(
         variable.codes, weights=m, minlength=len(variable.alphabet)
     )
-    return Distribution(variable.alphabet, image)
+    return _built(Distribution, support=variable.alphabet, masses=image)
 
 
 def variable_distribution(
@@ -361,7 +364,7 @@ def fiber(space: Prespace, variable: RandomVariable, value: Hashable) -> Context
     _check_variable(space, variable)
     code = variable.value_index(value)
     members = np.flatnonzero(variable.codes == code)
-    return Context(members)
+    return _built(Context, members=tuple(members.tolist()))
 
 
 def compression_ratio(space: Prespace, variable: RandomVariable) -> float:
@@ -394,4 +397,4 @@ def filter_context(
             f"points with {variable.name!r} = {value!r} carry zero weight "
             "in the context"
         )
-    return Context._from_checked(kept)
+    return _built(Context, members=tuple(kept.tolist()))

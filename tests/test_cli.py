@@ -390,6 +390,33 @@ class TestValidate:
         assert main(["validate", "--model", str(bad)]) == 2
 
 
+# Each kernel row sums to 1 within 1e-12, but the masses pushed through the
+# kernel from the "b" points sum to 1.000000000001, one ulp beyond the band.
+EDGE_OF_BAND = {
+    "schema": 1,
+    "weights": [0.25, 0.25, 0.25, 0.25],
+    "variables": {"s": ["a", "a", "b", "b"], "o": ["x", "y", "x", "y"]},
+    "selector": "s",
+    "outcome": "o",
+    "context": [0, 1, 2, 3],
+    "kernel": [
+        [0.1336509999817902, 0.4019380151905997, 0.2028622206846785, 0.2615487641439314],
+        [0.30054239207950706, 0.11231168251802473, 0.1943327842980202, 0.3928131411054478],
+        [0.3839617335400133, 0.289387532215628, 0.21609613390679586, 0.11055460033856283],
+        [0.0911494749601842, 0.5503086630490865, 0.29280294080840014, 0.06573892118332905],
+    ],
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_edge_of_band_model_exits_0(command, tmp_path, capsysbinary):
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(EDGE_OF_BAND))
+    code, out, err = run([command, "--model", str(path)], capsysbinary)
+    assert (code, err) == (0, b"")
+    assert out
+
+
 class TestUnwritableOut:
     @pytest.mark.parametrize(
         "argv",

@@ -21,9 +21,14 @@ from contextprob import (
     RandomVariable,
     TypeMismatch,
     apply_kernel,
+    conditional_distribution,
     contextual_statistics,
+    fiber,
+    filter_context,
+    ingest_contingency_table,
     is_contextually_sensitive,
     measurement_distribution,
+    pushforward,
     sample_frequencies,
     transition_probabilities,
     variable_distribution,
@@ -179,7 +184,6 @@ class TestPerturbationKernel:
             pytest.param([0.5, 0.4], "row must sum to 1 within 1e-12, got 0.9", id="bad-sum"),
         ],
     )
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_first_bad_row_is_named(self, row, message):
         rows = [[1.0, 0.0, 0.0], row + [0.0], [0.0, 0.0, 1.0]]
         with pytest.raises(InvariantViolation) as info:
@@ -359,7 +363,6 @@ class TestContextualStatistics:
         ],
     )
     @pytest.mark.parametrize("side", ["selector", "outcome"])
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_marginal_checks_keep_their_messages(self, side, vector, message):
         marginals = {"selector": (0.5, 0.5), "outcome": (0.5, 0.5), side: vector}
         with pytest.raises(
@@ -438,13 +441,12 @@ def _reference_accepts(rows, tolerance):
 
 
 def _accepts(build):
-    # Sums of 1e308 entries overflow and inf - inf is invalid; callers
-    # silence both, as the CLI does.
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            build()
-        except InvariantViolation:
-            return False
+    # Sums of 1e308 entries overflow and inf - inf is invalid; the check
+    # refuses both without a numpy warning.
+    try:
+        build()
+    except InvariantViolation:
+        return False
     return True
 
 
@@ -480,6 +482,46 @@ class TestNormalizationRule:
             )
         )
         assert accepted == _reference_accepts([selector, outcome, *transition], 1e-10)
+
+
+class TestDerivedValues:
+    """Values derived from checked input are built without a second check."""
+
+    def test_derived_arrays_are_read_only_like_constructed_ones(self):
+        space, selector, outcome, context, kernel = two_point_model()
+        conditional = conditional_distribution(space, context)
+        stats = contextual_statistics(space, context, selector, outcome, kernel)
+        table = ingest_contingency_table(
+            "experiment,outcome_a,outcome_b,count\n"
+            "direct,,up,3\ndirect,,down,1\n"
+            "sequential,left,up,2\nsequential,left,down,2\n"
+            "sequential,right,up,1\nsequential,right,down,3\n"
+        )
+        arrays = {
+            "constructed": Distribution(space.points, [0.5, 0.5]).masses,
+            "conditional_distribution": conditional.masses,
+            "pushforward": pushforward(outcome, conditional.masses).masses,
+            "apply_kernel": apply_kernel(space, conditional, kernel).masses,
+            "contextual_statistics": stats.selector_marginals,
+            "contextual_statistics transition": stats.transition,
+            "ingest_contingency_table": table.outcome_marginals,
+            "ingest_contingency_table transition": table.transition,
+        }
+        for name, array in arrays.items():
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
+
+    def test_derived_contexts_equal_constructed_ones(self):
+        space, selector, _, context = four_point_model()
+        derived = [
+            Context.full(space),
+            fiber(space, selector, "right"),
+            filter_context(space, context, selector, "left"),
+        ]
+        assert derived == [Context([0, 1, 2, 3]), Context([2, 3]), Context([0, 1])]
+        for built in derived:
+            assert all(type(i) is int for i in built.members)
 
 
 class TestSensitivity:

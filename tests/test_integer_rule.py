@@ -6,6 +6,7 @@ with InvariantViolation instead of being truncated, parsed or passed on.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -133,6 +134,27 @@ def test_count_arrays_must_hold_integers(counts):
 def test_counts_beyond_int64_are_refused(counts, total):
     with pytest.raises(InvariantViolation):
         FrequencyTable("abcde"[: len(counts)], counts, total, 0)
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        pytest.param([[6], 1], "expected an integer, got [6]", id="ragged"),
+        pytest.param([[6], [1]], "one count per support value required", id="nested"),
+        pytest.param(np.array([[6, 1]]), "one count per support value required", id="2-d"),
+        pytest.param(7, "one count per support value required", id="scalar"),
+    ],
+)
+def test_malformed_counts_are_refused(counts, message):
+    with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+        FrequencyTable("ab", counts, 7, 0)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("build", [Prespace.uniform, PerturbationKernel.identity])
+def test_sizes_below_one_are_refused(build, n):
+    with pytest.raises(InvariantViolation, match="needs at least one point$"):
+        build(n)
 
 
 def test_frequency_table_seed_must_be_non_negative():

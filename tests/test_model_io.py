@@ -59,6 +59,53 @@ def identity_kernel(*cells):
     return kernel
 
 
+# Entries are multiples of 2**-52 below 2, so every partial sum is exact and
+# a row's sum is 1 + excess * 2**-52 in any order; |excess| <= 4503 keeps it
+# within the 1e-12 tolerance.
+_UNIT = 2.0**-52
+_BAND = 4503
+
+
+def _row_in_band(rng, length, positive, excess):
+    """A row of uniform cuts summing to exactly 1 + excess * 2**-52."""
+    total = 2**52 + excess
+    if positive:
+        cuts = rng.sample(range(1, total), length - 1)
+    else:
+        cuts = [rng.randint(0, total) for _ in range(length - 1)]
+    bounds = [0, *sorted(cuts), total]
+    return [(b - a) * _UNIT for a, b in zip(bounds, bounds[1:])]
+
+
+@st.composite
+def _edge_of_band_models(draw):
+    """Models of 2 to 11 points whose weights and kernel rows sum inside the band."""
+    # Hypothesis's own numbers favour small models and round values, whose
+    # derived sums do not round; a seeded Random draws uniformly.
+    rng = draw(st.randoms(use_true_random=True))
+    n = rng.randint(2, 11)
+
+    def excess():
+        # the upper edge, where rounding most often carries a derived sum out
+        return _BAND if rng.random() < 0.5 else rng.randint(-_BAND, _BAND)
+
+    def labels(pair):
+        """Both values, then n - 2 more drawn from them."""
+        return [*pair, *(rng.choice(pair) for _ in range(n - 2))]
+
+    doc = model_document(
+        weights=_row_in_band(rng, n, positive=True, excess=excess()),
+        variables={"path": labels(["left", "right"]), "screen": labels(["up", "down"])},
+        context=list(range(n)),
+    )
+    if rng.random() < 0.75:
+        shared = excess()  # rows at the edge together push a derived sum furthest
+        doc["kernel"] = [
+            _row_in_band(rng, n, positive=False, excess=shared) for _ in range(n)
+        ]
+    return doc
+
+
 TABLE = """\
 experiment,outcome_a,outcome_b,count
 direct,,up,750
@@ -550,6 +597,13 @@ class TestAnalyze:
         assert report.contextually_sensitive is False
         assert report.seed == 7
         assert report.input_digest == "sha256:feed"
+
+    @given(_edge_of_band_models())
+    @settings(max_examples=150, deadline=None)
+    def test_models_inside_the_band_analyze(self, doc):
+        # Weights are positive and the context is whole, so every branch
+        # carries weight; only a re-check of derived sums could refuse it.
+        emit_report(analyze_model(load_model(json.dumps(doc))))
 
     def test_explicit_seed_wins_over_options(self):
         model = load_model(model_text(options={"seed": 7}))

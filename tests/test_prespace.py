@@ -146,7 +146,6 @@ class TestTypeInvariants:
             ),
         ],
     )
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_first_failed_check_is_reported(self, masses, message):
         with pytest.raises(InvariantViolation, match=f"^{re.escape(message.format('weights'))}$"):
             Prespace(["a", "b"], masses)
