@@ -236,7 +236,7 @@ def measurement_distribution(
     conditional = conditional_distribution(space, context)
     if kernel is not None:
         conditional = apply_kernel(space, conditional, kernel)
-    return pushforward(variable, conditional.masses)
+    return pushforward(variable, conditional)
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,8 +252,11 @@ class FrequencyTable:
         self, support: Sequence[Hashable], counts: Sequence[int], total: int, seed: int
     ):
         support = tuple(support)
-        # dtype=object lets a ragged nesting reach the member check
-        if np.shape(np.array(counts, dtype=object)) != (len(support),):
+        try:  # dtype=object lets a ragged nesting reach the member check
+            shape = np.shape(np.array(counts, dtype=object))
+        except ValueError:  # a nesting numpy cannot hold even as objects
+            shape = None
+        if shape != (len(support),):
             raise InvariantViolation("one count per support value required")
         if isinstance(counts, np.ndarray) and counts.dtype.kind in "iu":
             counts = counts.tolist()  # checked by its dtype; Python ints sum exactly

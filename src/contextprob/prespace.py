@@ -165,10 +165,7 @@ class RandomVariable:
         object.__setattr__(self, "values", values)
         alphabet = tuple(dict.fromkeys(values))
         index = {v: i for i, v in enumerate(alphabet)}
-        codes = np.fromiter(
-            (index[v] for v in values), dtype=np.intp, count=len(values)
-        )
-        codes.flags.writeable = False
+        codes = _frozen_array([index[v] for v in values], dtype=np.intp)
         object.__setattr__(self, "_alphabet", alphabet)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_codes", codes)
@@ -309,16 +306,16 @@ def conditional_distribution(space: Prespace, context: Context) -> Distribution:
     return _built(Distribution, support=space.points, masses=masses)
 
 
-def pushforward(variable: RandomVariable, masses: np.ndarray) -> Distribution:
-    """Image of a point distribution's masses, taken as checked, under the value map."""
-    m = np.asarray(masses, dtype=float)
-    if m.shape[0] != len(variable.values):
+def pushforward(variable: RandomVariable, distribution: Distribution) -> Distribution:
+    """Image of a point distribution under the variable's value map."""
+    size = len(distribution.support)
+    if size != len(variable.values):
         raise InvariantViolation(
-            f"mass vector of length {m.shape[0]} does not match variable "
+            f"distribution on {size} points does not match variable "
             f"{variable.name!r} on {len(variable.values)} points"
         )
     image = np.bincount(
-        variable.codes, weights=m, minlength=len(variable.alphabet)
+        variable.codes, weights=distribution.masses, minlength=len(variable.alphabet)
     )
     return _built(Distribution, support=variable.alphabet, masses=image)
 
@@ -329,7 +326,7 @@ def variable_distribution(
     """Distribution of the variable's values under conditioning on the context."""
     _check_variable(space, variable)
     conditional = conditional_distribution(space, context)
-    return pushforward(variable, conditional.masses)
+    return pushforward(variable, conditional)
 
 
 def expectation_and_dispersion(

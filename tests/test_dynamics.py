@@ -500,7 +500,7 @@ class TestDerivedValues:
         arrays = {
             "constructed": Distribution(space.points, [0.5, 0.5]).masses,
             "conditional_distribution": conditional.masses,
-            "pushforward": pushforward(outcome, conditional.masses).masses,
+            "pushforward": pushforward(outcome, conditional).masses,
             "apply_kernel": apply_kernel(space, conditional, kernel).masses,
             "contextual_statistics": stats.selector_marginals,
             "contextual_statistics transition": stats.transition,

@@ -143,6 +143,11 @@ def test_counts_beyond_int64_are_refused(counts, total):
         pytest.param([[6], [1]], "one count per support value required", id="nested"),
         pytest.param(np.array([[6, 1]]), "one count per support value required", id="2-d"),
         pytest.param(7, "one count per support value required", id="scalar"),
+        pytest.param(
+            [np.zeros((2, 2)), np.zeros((2, 3))],
+            "one count per support value required",
+            id="unbroadcastable",
+        ),
     ],
 )
 def test_malformed_counts_are_refused(counts, message):

@@ -21,6 +21,7 @@ from contextprob import (
     expectation_and_dispersion,
     fiber,
     filter_context,
+    pushforward,
     variable_distribution,
 )
 
@@ -218,6 +219,18 @@ class TestVariableDistribution:
         dist = variable_distribution(space, v, Context.full(space))
         assert dist.support == ("up", "down")
         np.testing.assert_allclose(dist.masses, [0.4, 0.6], atol=1e-15)
+
+    def test_pushforward_takes_only_a_checked_distribution(self):
+        v = RandomVariable("v", ["x", "y", "x"])
+        # an unnormalized vector is refused where it would enter
+        with pytest.raises(InvariantViolation, match="^masses must sum to 1"):
+            pushforward(v, Distribution("abc", [2.0, 3.0, 0.0]))
+        dist = pushforward(v, Distribution("abc", [0.25, 0.5, 0.25]))
+        assert dist.support == ("x", "y")
+        np.testing.assert_array_equal(dist.masses, [0.5, 0.5])
+        message = "distribution on 2 points does not match variable 'v' on 3 points"
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+            pushforward(v, Distribution("ab", [0.5, 0.5]))
 
     def test_masses_normalized_on_random_spaces(self):
         rng = np.random.default_rng(7)
