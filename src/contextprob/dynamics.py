@@ -27,7 +27,8 @@ from .prespace import (
     _built,
     _check_normalized,
     _checked_int,
-    _frozen_array,
+    _checked_reals,
+    _set,
     conditional_distribution,
     filter_context,
     pushforward,
@@ -55,13 +56,13 @@ class PerturbationKernel:
     matrix: np.ndarray
 
     def __init__(self, matrix: Sequence[Sequence[float]]):
-        m = np.asarray(matrix, dtype=float)
+        m = _checked_reals(matrix, "kernel")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvariantViolation(
                 f"kernel must be a square matrix, got shape {m.shape}"
             )
         _check_normalized(m, "kernel")
-        object.__setattr__(self, "matrix", _frozen_array(m))
+        _set(self, matrix=m)
 
     @classmethod
     def identity(cls, n: int) -> "PerturbationKernel":
@@ -148,9 +149,9 @@ class ContextualStatistics:
                     f"{side} variable must take exactly 2 distinct values, "
                     f"got {labels!r}"
                 )
-        sel = _frozen_array(selector_marginals)
-        out = _frozen_array(outcome_marginals)
-        t = _frozen_array(transition)
+        sel = _checked_reals(selector_marginals, "selector marginals")
+        out = _checked_reals(outcome_marginals, "outcome marginals")
+        t = _checked_reals(transition, "transition")
         if sel.shape != (2,) or out.shape != (2,):
             raise InvariantViolation("marginals must be length-2 vectors")
         if t.shape != (2, 2):
@@ -158,11 +159,14 @@ class ContextualStatistics:
         _check_normalized(sel, "selector marginals", STATISTICS_TOLERANCE)
         _check_normalized(out, "outcome marginals", STATISTICS_TOLERANCE)
         _check_normalized(t, "transition", STATISTICS_TOLERANCE)
-        object.__setattr__(self, "selector_labels", selector_labels)
-        object.__setattr__(self, "outcome_labels", outcome_labels)
-        object.__setattr__(self, "selector_marginals", sel)
-        object.__setattr__(self, "outcome_marginals", out)
-        object.__setattr__(self, "transition", t)
+        _set(
+            self,
+            selector_labels=selector_labels,
+            outcome_labels=outcome_labels,
+            selector_marginals=sel,
+            outcome_marginals=out,
+            transition=t,
+        )
 
 
 def contextual_statistics(
@@ -267,10 +271,8 @@ class FrequencyTable:
         total = _checked_sample_count(total)  # so each count fits in int64
         if sum(counts) != total:
             raise InvariantViolation(f"counts sum to {sum(counts)}, expected total {total}")
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "counts", _frozen_array(counts, dtype=np.int64))
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "seed", _checked_seed(seed))
+        counts = np.array(counts, dtype=np.int64)
+        _set(self, support=support, counts=counts, total=total, seed=_checked_seed(seed))
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -382,4 +384,4 @@ def sample_frequencies(
     if errors:
         raise errors[0]
     counts = np.diff(below.sum(axis=0), prepend=0, append=n)
-    return FrequencyTable(exact.support, counts, n, seed)
+    return _built(FrequencyTable, support=exact.support, counts=counts, total=n, seed=seed)

@@ -162,19 +162,22 @@ def analyze_interference(
 ) -> InterferenceReport:
     """Classify both outcomes and extract phases where they exist.
 
-    Outcomes with a vanishing branch probability come back with the
-    degenerate classification and no coefficient, phase, or sign.
+    Outcomes with a vanishing branch probability, or with branches too small
+    for the gap to give a finite coefficient, come back with the degenerate
+    classification and no coefficient, phase, or sign.
     """
     branches = branch_probabilities(statistics)
     entries = []
     for j, label in enumerate(statistics.outcome_labels):
         observed = float(statistics.outcome_marginals[j])
         pair = (float(branches[0, j]), float(branches[1, j]))
-        if pair[0] == 0.0 or pair[1] == 0.0:
+        coefficient = None
+        if pair[0] != 0.0 and pair[1] != 0.0:
+            coefficient = _coefficient(observed, pair[0], pair[1])
+        if coefficient is None or not math.isfinite(coefficient):
             coefficient = phase = sign = None
             kind = Classification.DEGENERATE
         else:
-            coefficient = _coefficient(observed, pair[0], pair[1])
             kind = classify(coefficient, tolerance)
             phase, sign = phases(coefficient, kind)
         entries.append(

@@ -23,6 +23,7 @@ import collections.abc
 import math
 import numbers
 import operator
+import reprlib
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
@@ -39,20 +40,18 @@ WEIGHT_TOLERANCE = 1e-12
 DISPERSION_CLAMP = 1e-12
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    out = np.array(values, dtype=dtype, copy=True)
-    out.flags.writeable = False
-    return out
+def _set(instance, **fields):
+    """Set ``instance``'s fields, each ndarray made read-only; returns ``instance``."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(instance, name, value)
+    return instance
 
 
 def _built(cls, **fields):
     """A frozen ``cls`` from fields derived from checked input; checks nothing."""
-    instance = object.__new__(cls)
-    for name, value in fields.items():
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False  # as the constructors leave them
-        object.__setattr__(instance, name, value)
-    return instance
+    return _set(object.__new__(cls), **fields)
 
 
 def _checked_int(value, path: str | None = None) -> int:
@@ -64,6 +63,20 @@ def _checked_int(value, path: str | None = None) -> int:
     except TypeError:
         pass
     raise InvariantViolation(f"expected an integer, got {value!r}", path=path)
+
+
+def _checked_reals(values, noun: str) -> np.ndarray:
+    """Real numbers as a new float array; unlike np.array(dtype=float), never parses."""
+    try:
+        out = np.array(values)  # ragged nesting raises ValueError
+        kinds = {out.dtype.kind}
+        if "O" in kinds:  # numbers numpy has no dtype for, such as Fractions
+            kinds = {np.array(v).dtype.kind for v in out.flat}
+        if kinds.isdisjoint("USbc"):  # text, bools and complex numbers
+            return out.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError):  # or from float() of an object
+        pass
+    raise InvariantViolation(f"{noun} must be real numbers, got {reprlib.repr(values)}")
 
 
 def _check_normalized(
@@ -117,14 +130,13 @@ class Prespace:
             raise InvariantViolation("a prespace needs at least one point")
         if len(set(points)) != len(points):
             raise InvariantViolation("point identifiers must be unique")
-        w = _frozen_array(weights)
+        w = _checked_reals(weights, "weights")
         if w.ndim != 1 or w.shape[0] != len(points):
             raise InvariantViolation(
                 f"expected {len(points)} weights, got shape {w.shape}"
             )
         _check_normalized(w, "weights")
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "weights", w)
+        _set(self, points=points, weights=w)
 
     @classmethod
     def uniform(cls, n: int) -> "Prespace":
@@ -137,7 +149,7 @@ class Prespace:
     @classmethod
     def from_weights(cls, weights: Sequence[float]) -> "Prespace":
         """Space with auto-named points and the given weights."""
-        w = np.asarray(weights, dtype=float)
+        w = _checked_reals(weights, "weights")
         # atleast_1d, so a scalar reaches the shape check instead of failing here
         return cls([f"p{i + 1}" for i in range(len(np.atleast_1d(w)))], w)
 
@@ -151,7 +163,8 @@ class RandomVariable:
     """Total map from points to a finite alphabet.
 
     ``values`` lists the variable's value at each point, in point order.  The
-    alphabet is the distinct values in order of first appearance.
+    ``alphabet`` is the distinct values in order of first appearance, and
+    ``codes`` is the index of each point's value within the alphabet.
     """
 
     name: str
@@ -161,23 +174,10 @@ class RandomVariable:
         values = tuple(values)
         if not values:
             raise InvariantViolation(f"variable {name!r} needs at least one value")
-        object.__setattr__(self, "name", str(name))
-        object.__setattr__(self, "values", values)
         alphabet = tuple(dict.fromkeys(values))
         index = {v: i for i, v in enumerate(alphabet)}
-        codes = _frozen_array([index[v] for v in values], dtype=np.intp)
-        object.__setattr__(self, "_alphabet", alphabet)
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_codes", codes)
-
-    @property
-    def alphabet(self) -> tuple[Hashable, ...]:
-        return self._alphabet
-
-    @property
-    def codes(self) -> np.ndarray:
-        """Index of each point's value within the alphabet."""
-        return self._codes
+        codes = np.array([index[v] for v in values], dtype=np.intp)
+        _set(self, name=str(name), values=values, alphabet=alphabet, _index=index, codes=codes)
 
     @property
     def is_numeric(self) -> bool:
@@ -229,7 +229,7 @@ class Context:
             raise InvariantViolation("a context needs at least one member")
         if cleaned[0] < 0:
             raise InvariantViolation("context members must be non-negative indices")
-        object.__setattr__(self, "members", tuple(cleaned))
+        _set(self, members=tuple(cleaned))
 
     @classmethod
     def full(cls, space: Prespace) -> "Context":
@@ -249,14 +249,13 @@ class Distribution:
 
     def __init__(self, support: Sequence[Hashable], masses: Sequence[float]):
         support = tuple(support)
-        m = _frozen_array(masses)
+        m = _checked_reals(masses, "masses")
         if m.ndim != 1 or m.shape[0] != len(support):
             raise InvariantViolation(
                 f"expected {len(support)} masses, got shape {m.shape}"
             )
         _check_normalized(m, "masses")
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "masses", m)
+        _set(self, support=support, masses=m)
 
     def mass(self, value: Hashable) -> float:
         try:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -415,6 +416,39 @@ def test_edge_of_band_model_exits_0(command, tmp_path, capsysbinary):
     code, out, err = run([command, "--model", str(path)], capsysbinary)
     assert (code, err) == (0, b"")
     assert out
+
+
+# Both branches of x are about 1e-310, so the gap over their geometric mean
+# overflows: x has no finite coefficient and is degenerate, like a zero branch.
+OVERFLOWING_COEFFICIENT = {
+    "schema": 1,
+    "weights": [1e-310, 1e-310, 0.5, 0.5],
+    "variables": {"s": ["g", "g", "h", "h"], "o": ["x", "y", "x", "y"]},
+    "selector": "s",
+    "outcome": "o",
+    "context": [0, 1, 2, 3],
+    "kernel": [
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0, 0.0],
+        [0.0, 0.0, 1e-310, 1.0],
+        [0.0, 0.0, 1e-310, 1.0],
+    ],
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_overflowing_coefficient_model_exits_0(command, tmp_path, capsysbinary):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(OVERFLOWING_COEFFICIENT))
+    code, out, err = run([command, "--model", str(path)], capsysbinary)
+    assert (code, err) == (0, b"")
+    if command == "analyze":
+        report = json.loads(out)
+        entries = report["interference"]["entries"]
+        assert [e["classification"] for e in entries] == ["degenerate", "hyperbolic"]
+        assert entries[0]["coefficient"] is None
+        assert math.isfinite(entries[1]["coefficient"])
+        assert report["amplitudes"]["regime"] == "degenerate"
 
 
 class TestUnwritableOut:

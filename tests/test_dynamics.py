@@ -15,6 +15,7 @@ from contextprob import (
     ContextualStatistics,
     DegenerateContext,
     Distribution,
+    FrequencyTable,
     InvariantViolation,
     PerturbationKernel,
     Prespace,
@@ -506,11 +507,44 @@ class TestDerivedValues:
             "contextual_statistics transition": stats.transition,
             "ingest_contingency_table": table.outcome_marginals,
             "ingest_contingency_table transition": table.transition,
+            "sample_frequencies": sample_frequencies(
+                space, context, outcome, 100, 3, kernel
+            ).counts,
+            "RandomVariable.codes": outcome.codes,
         }
         for name, array in arrays.items():
             assert not array.flags.writeable, name
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.5
+
+    @pytest.mark.parametrize(
+        "build, values, field",
+        [
+            pytest.param(lambda a: Prespace("pq", a), [0.5, 0.5], "weights", id="Prespace"),
+            pytest.param(
+                lambda a: Distribution("pq", a), [0.5, 0.5], "masses", id="Distribution"
+            ),
+            pytest.param(
+                PerturbationKernel, [[1.0, 0.0], [0.0, 1.0]], "matrix", id="PerturbationKernel"
+            ),
+            pytest.param(
+                lambda a: ContextualStatistics("ab", "xy", [0.5, 0.5], [0.5, 0.5], a),
+                [[1.0, 0.0], [0.0, 1.0]],
+                "transition",
+                id="ContextualStatistics",
+            ),
+            pytest.param(
+                lambda a: FrequencyTable("ab", a, 7, 0), [6, 1], "counts", id="FrequencyTable"
+            ),
+        ],
+    )
+    def test_constructors_copy_caller_arrays(self, build, values, field):
+        array = np.array(values)
+        stored = getattr(build(array), field)
+        assert array.flags.writeable
+        assert not stored.flags.writeable
+        array[0] = array[1]
+        assert stored.tolist() == values
 
     def test_derived_contexts_equal_constructed_ones(self):
         space, selector, _, context = four_point_model()

@@ -182,6 +182,23 @@ class TestReport:
         up = report.entries[0]
         assert up.classification is not Classification.DEGENERATE
 
+    def test_branches_too_small_for_a_finite_coefficient_are_degenerate(self):
+        # both "up" branches are about 1e-310, so the gap over their
+        # geometric mean overflows to inf, which classify refuses
+        stats = ContextualStatistics(
+            ("left", "right"),
+            ("up", "down"),
+            (2e-310, 1.0),
+            (0.5, 0.5),
+            [[0.5, 0.5], [1e-310, 1.0]],
+        )
+        report = analyze_interference(stats)
+        up, down = report.entries
+        assert up.classification is Classification.DEGENERATE
+        assert up.coefficient is None and up.phase is None and up.sign is None
+        assert down.classification is Classification.HYPERBOLIC
+        assert report.regime == "degenerate"
+
     def test_mixed_regime_is_reported_not_raised(self):
         # one branch pair much smaller than the other makes the second
         # coefficient overshoot while the first stays classical

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -166,6 +167,13 @@ class TestTypeInvariants:
     def test_alphabet_is_first_appearance_order(self):
         v = RandomVariable("v", ["b", "a", "b", "c"])
         assert v.alphabet == ("b", "a", "c")
+
+    @pytest.mark.parametrize("field", ["name", "values", "alphabet", "codes"])
+    def test_variable_fields_cannot_be_assigned(self, field):
+        v = RandomVariable("v", ["b", "a", "b"])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(v, field, None)
+        assert (v.alphabet, v.codes.tolist()) == (("b", "a"), [0, 1, 0])
 
 
 class TestContextProbability:
