@@ -325,10 +325,11 @@ def sample_frequencies(
     by one worker per usable CPU, at most one per chunk: worker ``w`` of
     ``W`` takes chunks ``w``, ``w + W``, ...  The caller is worker 0 and
     the others are threads, which run in parallel because drawing and
-    comparing release the GIL.  Each worker draws into its own buffer, the
-    buffers together one ``SAMPLE_BLOCK`` of draws, and counts each fill by
-    one comparison pass per cumulative bound, so memory is one block
-    whatever ``n`` is and the time grows with the number of support values.
+    comparing release the GIL.  Each worker draws into its own row of one
+    buffer of ``SAMPLE_BLOCK`` draws, allocated before any thread starts,
+    and counts each fill by one comparison pass per cumulative bound, so
+    memory is one block whatever ``n`` is and the time grows with the
+    number of support values.
     An exception in any worker is raised here once every worker has
     stopped.  The counts are unchanged from earlier versions, which placed
     each draw by binary search, for the same ``(seed, n)``.  ``n`` may not
@@ -348,12 +349,13 @@ def sample_frequencies(
     # below[w, j] counts worker w's draws under bounds[j]; the last value
     # takes the rest of n
     below = np.zeros((workers, len(bounds)), dtype=np.int64)
+    # row w is worker w's; allocated here, so the peak does not depend on thread timing
+    draws, flags = np.empty((workers, width)), np.empty((workers, width), dtype=bool)
     errors: list[BaseException] = []
 
     def count(w: int) -> None:
         """Add worker ``w``'s draws under each bound into ``below[w]``."""
         try:
-            draws, flags = np.empty(width), np.empty(width, dtype=bool)
             for chunk in range(w, n_chunks, workers):
                 # the same seed as the chunk-th SeedSequence(seed).spawn(1) child
                 child = np.random.SeedSequence(seed, spawn_key=(chunk,))
@@ -362,11 +364,11 @@ def sample_frequencies(
                 stop = min(n, start + SAMPLE_CHUNK)
                 for offset in range(start, stop, width):
                     size = min(width, stop - offset)
-                    uniforms = draws[:size]
+                    uniforms = draws[w, :size]
                     generator.random(out=uniforms)
                     for j, bound in enumerate(bounds):
                         below[w, j] += np.count_nonzero(
-                            np.less(uniforms, bound, out=flags[:size])
+                            np.less(uniforms, bound, out=flags[w, :size])
                         )
         except BaseException as exc:
             errors.append(exc)

@@ -32,7 +32,8 @@ from .dynamics import (
 from .errors import DegenerateData, InvariantViolation
 from .interference import DEFAULT_CLASSIFY_TOLERANCE
 from .prespace import (
-    Context, Prespace, RandomVariable, _built, _checked_int, context_probability
+    Context, Prespace, RandomVariable, _built, _checked_int, _checked_reals,
+    context_probability,
 )
 
 SCHEMA_VERSION = 1
@@ -55,8 +56,6 @@ _MODEL_KEYS = {
 _OPTION_KEYS = {"classify_tolerance", "sensitivity_tolerance", "sample_size", "seed"}
 # Counts, and so their sums, must stay finite as floats.
 _MAX_COUNT = sys.float_info.max
-# A bool is an int to isinstance, but not a number in a document.
-_NUMBER_TYPES = {int, float}
 _VALUE_TYPES = {str, int, float}
 
 
@@ -104,28 +103,6 @@ def _key(name: str) -> str:
     return name if name.isprintable() else repr(name)
 
 
-def _require_number(value: Any, path: str) -> float:
-    if type(value) not in _NUMBER_TYPES:
-        _fail(path, f"expected a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        _fail(path, "number is too large for a float")
-
-
-def _number_array(values: list, path: str) -> np.ndarray:
-    """A JSON list of numbers as floats; the first bad entry is located.
-
-    The entries are checked together, and one by one only when that fails.
-    """
-    if set(map(type, values)) <= _NUMBER_TYPES:
-        try:
-            return np.array(values, dtype=float)
-        except OverflowError:
-            pass
-    return np.array([_require_number(x, f"{path}[{i}]") for i, x in enumerate(values)])
-
-
 def _text(data: bytes | str) -> str:
     """A document as text; bytes must be UTF-8."""
     if isinstance(data, str):
@@ -156,7 +133,7 @@ def load_model(data: bytes | str) -> ExperimentModel:
     weights = doc.get("weights")
     if not isinstance(weights, list) or not weights:
         _fail("weights", "expected a non-empty list of numbers")
-    weights = _number_array(weights, "weights")
+    weights = _checked_reals(weights, "weights", "weights[{}]")
 
     points = doc.get("points")
     if points is not None:
@@ -233,7 +210,7 @@ def load_model(data: bytes | str) -> ExperimentModel:
         for i, row in enumerate(raw_kernel):
             if not isinstance(row, list) or len(row) != size:
                 _fail(f"kernel.row[{i}]", f"expected {size} entries")
-            matrix[i] = _number_array(row, f"kernel.row[{i}]")
+            matrix[i] = _checked_reals(row, "kernel", f"kernel.row[{i}][{{}}]")
         # PerturbationKernel checks the numeric invariants and names the row.
         kernel = PerturbationKernel(matrix)
 
@@ -260,8 +237,8 @@ def _load_options(raw: Any) -> AnalysisOptions:
     fields: dict[str, Any] = {}
     for key in ("classify_tolerance", "sensitivity_tolerance"):
         if key in raw:
-            path = f"options.{key}"
-            value = _require_number(raw[key], path)
+            path = f"options.{key}"  # no "{}": the one entry below is named path
+            value = float(_checked_reals([raw[key]], "tolerance", path)[0])
             if not math.isfinite(value):
                 _fail(path, f"tolerance must be finite, got {value!r}")
             if value <= 0.0:

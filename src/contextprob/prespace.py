@@ -65,17 +65,39 @@ def _checked_int(value, path: str | None = None) -> int:
     raise InvariantViolation(f"expected an integer, got {value!r}", path=path)
 
 
-def _checked_reals(values, noun: str) -> np.ndarray:
-    """Real numbers as a new float array; unlike np.array(dtype=float), never parses."""
+def _real_types(types: set) -> bool:
+    """Whether every type is a real-number type; bool is an int, but not a number."""
+    return types <= {int, float} or all(  # the common case skips the slow ABC check
+        issubclass(t, numbers.Real) and not issubclass(t, (bool, np.bool_)) for t in types
+    )
+
+
+def _checked_reals(values, noun: str, path: str | None = None) -> np.ndarray:
+    """Real numbers as a new float array; never parses text or casts a bool.
+
+    A real ndarray is judged by its dtype, anything else by each entry's type.
+    A refusal names ``noun``, or entry ``i`` of a document's flat list at ``path.format(i)``.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "fiu":
+        return values.astype(float)
     try:
-        out = np.array(values)  # ragged nesting raises ValueError
-        kinds = {out.dtype.kind}
-        if "O" in kinds:  # numbers numpy has no dtype for, such as Fractions
-            kinds = {np.array(v).dtype.kind for v in out.flat}
-        if kinds.isdisjoint("USbc"):  # text, bools and complex numbers
-            return out.astype(float, copy=False)
-    except (TypeError, ValueError, OverflowError):  # or from float() of an object
+        if type(values) in (list, tuple) and _real_types(set(map(type, values))):
+            return np.array(values, dtype=float)
+        if path is None:  # a document's list is flat
+            nested = np.array(values, dtype=object)  # ragged: lists as entries
+            if _real_types(set(map(type, nested.flat))):
+                return nested.astype(float)
+    except (ValueError, OverflowError):  # clashing shapes; too large for a float
         pass
+    if path is not None:
+        for i, entry in enumerate(values):
+            where = path.format(i)
+            if not _real_types({type(entry)}):
+                raise InvariantViolation(f"expected a number, got {entry!r}", path=where)
+            try:
+                float(entry)
+            except OverflowError:
+                raise InvariantViolation("number is too large for a float", path=where)
     raise InvariantViolation(f"{noun} must be real numbers, got {reprlib.repr(values)}")
 
 
@@ -85,28 +107,23 @@ def _check_normalized(
     """Check a probability vector, or each row of a stochastic matrix.
 
     Entries must be finite and non-negative, and the vector or each row must
-    sum to 1 within ``tolerance``.  A matrix is checked whole, by its row
-    sums and its minimum, and its rows are walked only when that fails.  The
+    sum to 1 within ``tolerance``.  A vector is one row; all rows are checked
+    at once, by their sums and minimum, and walked only when that fails.  The
     first of these is raised: a non-finite entry, a negative one, a bad sum;
     a matrix's first bad row is named in the path ``noun.row[i]``.  Only a
     non-finite sum can hide a non-finite entry, so entries are inspected only
     then; sums that overflow or meet inf - inf raise no numpy warning.
     """
+    rows = np.atleast_2d(m)
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = m.sum(axis=-1).tolist()  # a float for a vector
-    if m.ndim == 1:
-        rows = [(m, sums, noun, None)]
-    else:
-        # NaN fails every comparison, so it always falls through to the walk.
-        if (not m.size or m.min() >= 0.0) and all(
-            abs(total - 1.0) <= tolerance for total in sums
-        ):
-            return
-        rows = (
-            (row, total, "row", f"{noun}.row[{i}]")
-            for i, (row, total) in enumerate(zip(m, sums))
-        )
-    for row, total, name, path in rows:
+        sums = rows.sum(axis=1).tolist()
+    # NaN fails every comparison, so it always falls through to the walk.
+    if (not rows.size or rows.min() >= 0.0) and all(
+        abs(total - 1.0) <= tolerance for total in sums
+    ):
+        return
+    for i, (row, total) in enumerate(zip(rows, sums)):
+        name, path = (noun, None) if m.ndim == 1 else ("row", f"{noun}.row[{i}]")
         if not math.isfinite(total) and not np.isfinite(row).all():
             raise InvariantViolation(f"{name} must be finite", path=path)
         if row.size and row.min() < 0.0:

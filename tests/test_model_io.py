@@ -334,6 +334,19 @@ class TestLoadModel:
             load_model(model_text(weights=[0.5, 10**400, 0.25, 0.25]))
         assert info.value.path == "weights[1]"
 
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([0.25, 10**400, True, 0.25], "number is too large for a float"),
+            ([0.25, True, 10**400, 0.25], "expected a number, got True"),
+        ],
+        ids=["too-large-first", "bool-first"],
+    )
+    def test_first_bad_weight_is_named(self, weights, message):
+        with pytest.raises(InvariantViolation) as info:
+            load_model(model_text(weights=weights))
+        assert str(info.value) == f"weights[1]: {message}"
+
     def test_unknown_option(self):
         with pytest.raises(InvariantViolation) as info:
             load_model(model_text(options={"verbosity": 3}))
@@ -373,6 +386,13 @@ class TestLoadModel:
         with pytest.raises(InvariantViolation) as info:
             load_model(model_text(options={key: value}))  # nan is written as NaN
         assert str(info.value) == f"options.{key}: {message}"
+
+    @pytest.mark.parametrize("key", ["classify_tolerance", "sensitivity_tolerance"])
+    @pytest.mark.parametrize("value", [True, "1e-9", None, [1e-9]], ids=repr)
+    def test_tolerance_must_be_a_number(self, key, value):
+        with pytest.raises(InvariantViolation) as info:
+            load_model(model_text(options={key: value}))
+        assert str(info.value) == f"options.{key}: expected a number, got {value!r}"
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_variable_value_is_located(self, value):

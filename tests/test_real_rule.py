@@ -2,9 +2,9 @@
 one real-number rule.
 
 Python and numpy reals, integers and Fractions are taken and act alike;
-text (even numeric text), bools, complex numbers and ragged nestings are
-refused with InvariantViolation instead of being parsed, cast or passed on
-to numpy.
+text (even numeric text), bools, None, complex numbers and ragged nestings
+are refused, even among numbers, with InvariantViolation instead of being
+parsed, cast or passed on to numpy.
 """
 
 import re
@@ -67,6 +67,11 @@ REFUSED = {
         "vector": [Fraction(1, 2), "0.5"],
         "matrix": [[Fraction(1), "0"], [Fraction(0), Fraction(1)]],
     },
+    "bool-among-numbers": {
+        "vector": [True, 0.0],
+        "matrix": [[1.0, False], [0.0, 1.0]],
+    },
+    "none": {"vector": [None, 1.0], "matrix": [[1.0, 0.0], [None, 1.0]]},
     "bool-array": {
         "vector": np.array([True, False]),
         "matrix": np.eye(2, dtype=bool),
