@@ -115,11 +115,21 @@ def _text(data: bytes | str) -> str:
         ) from None
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object as a dict; a repeated key is an error, not its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_model(data: bytes | str) -> ExperimentModel:
     """Parse and validate a JSON model document."""
     text = _text(data)
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except ValueError as exc:  # also an integer literal beyond int()'s digit limit
         raise InvariantViolation(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -127,8 +137,9 @@ def load_model(data: bytes | str) -> ExperimentModel:
     for key in doc:
         if key not in _MODEL_KEYS:
             _fail(_key(key), "unknown key in model document")
-    if doc.get("schema") != SCHEMA_VERSION:
-        _fail("schema", f"expected schema {SCHEMA_VERSION}, got {doc.get('schema')!r}")
+    schema = doc.get("schema")
+    if type(schema) is not int or schema != SCHEMA_VERSION:
+        _fail("schema", f"expected schema {SCHEMA_VERSION}, got {schema!r}")
 
     weights = doc.get("weights")
     if not isinstance(weights, list) or not weights:

@@ -38,6 +38,7 @@ from .errors import (
 
 WEIGHT_TOLERANCE = 1e-12
 DISPERSION_CLAMP = 1e-12
+_INTP_MAX = np.iinfo(np.intp).max  # hoisted: np.iinfo costs as much as a small Context
 
 
 def _set(instance, **fields):
@@ -191,10 +192,9 @@ class RandomVariable:
         values = tuple(values)
         if not values:
             raise InvariantViolation(f"variable {name!r} needs at least one value")
-        alphabet = tuple(dict.fromkeys(values))
-        index = {v: i for i, v in enumerate(alphabet)}
-        codes = np.array([index[v] for v in values], dtype=np.intp)
-        _set(self, name=str(name), values=values, alphabet=alphabet, _index=index, codes=codes)
+        index = {v: i for i, v in enumerate(dict.fromkeys(values))}
+        codes = np.fromiter(map(index.__getitem__, values), np.intp, len(values))
+        _set(self, name=str(name), values=values, alphabet=tuple(index), codes=codes)
 
     @property
     def is_numeric(self) -> bool:
@@ -205,22 +205,22 @@ class RandomVariable:
 
     def value_index(self, value: Hashable) -> int:
         try:
-            return self._index[value]
-        except KeyError:
+            return self.alphabet.index(value)
+        except ValueError:
             raise UnknownValue(
                 f"{value!r} is not a value of variable {self.name!r}"
             ) from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Context:
-    """A subset of points, stored as sorted unique indices.
+    """A subset of points, stored as ``indices``: sorted, unique, a read-only intp array.
 
     Index validity and positive total weight are checked against a concrete
     :class:`Prespace` by the operations that take both.
     """
 
-    members: tuple[int, ...]
+    indices: np.ndarray
 
     def __init__(self, members: Sequence[int]):
         if isinstance(members, np.ndarray) and members.dtype.kind != "O":
@@ -230,31 +230,44 @@ class Context:
                     "context members must be integers: got an array of "
                     f"{members.dtype} with shape {members.shape}"
                 )
-            cleaned = sorted(set(members.tolist()))
-        else:
+            members = members.tolist()
+        elif not isinstance(members, collections.abc.Sequence):
             # Members are read twice, so anything but a sequence is copied.
-            if not isinstance(members, collections.abc.Sequence):
-                members = list(members)
-            # Plain ints pass on their type, which also refuses bool.
-            if not set(map(type, members)) <= {int}:
-                try:
-                    members = [_checked_int(member) for member in members]
-                except InvariantViolation as exc:
-                    raise InvariantViolation(f"context members must be integers: {exc}")
-            cleaned = sorted(set(members))
+            members = list(members)
+        # Plain ints pass on their type, which also refuses bool.
+        if not set(map(type, members)) <= {int}:
+            try:
+                members = [_checked_int(member) for member in members]
+            except InvariantViolation as exc:
+                raise InvariantViolation(f"context members must be integers: {exc}")
+        cleaned = sorted(set(members))
         if not cleaned:
             raise InvariantViolation("a context needs at least one member")
         if cleaned[0] < 0:
             raise InvariantViolation("context members must be non-negative indices")
-        _set(self, members=tuple(cleaned))
+        if cleaned[-1] > _INTP_MAX:
+            raise InvariantViolation(f"context member {cleaned[-1]} is out of range for an index")
+        _set(self, indices=np.array(cleaned, dtype=np.intp))
 
     @classmethod
     def full(cls, space: Prespace) -> "Context":
-        return _built(cls, members=tuple(range(space.size)))
+        return _built(cls, indices=np.arange(space.size, dtype=np.intp))
+
+    @property
+    def members(self) -> tuple[int, ...]:
+        return tuple(self.indices.tolist())
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.indices)
+
+    def __eq__(self, other):
+        if not isinstance(other, Context):
+            return NotImplemented
+        return self.indices.tobytes() == other.indices.tobytes()
+
+    def __hash__(self):
+        return hash(self.indices.tobytes())
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,13 +303,12 @@ def _check_variable(space: Prespace, variable: RandomVariable) -> None:
 
 
 def _member_indices(space: Prespace, context: Context) -> np.ndarray:
-    # Checked on the Python ints, which may be beyond the intp range.
-    last = context.members[-1]
-    if last >= space.size:
+    indices = context.indices
+    if indices[-1] >= space.size:
         raise InvariantViolation(
-            f"context member {last} is out of range for a space of {space.size} points"
+            f"context member {indices[-1]} is out of range for a space of {space.size} points"
         )
-    return np.asarray(context.members, dtype=np.intp)
+    return indices
 
 
 def context_probability(space: Prespace, context: Context) -> float:
@@ -376,8 +388,7 @@ def fiber(space: Prespace, variable: RandomVariable, value: Hashable) -> Context
     """
     _check_variable(space, variable)
     code = variable.value_index(value)
-    members = np.flatnonzero(variable.codes == code)
-    return _built(Context, members=tuple(members.tolist()))
+    return _built(Context, indices=np.flatnonzero(variable.codes == code))
 
 
 def compression_ratio(space: Prespace, variable: RandomVariable) -> float:
@@ -410,4 +421,4 @@ def filter_context(
             f"points with {variable.name!r} = {value!r} carry zero weight "
             "in the context"
         )
-    return _built(Context, members=tuple(kept.tolist()))
+    return _built(Context, indices=kept)

@@ -37,7 +37,7 @@ from .interference import (
     OutcomeInterference,
     analyze_interference,
 )
-from .model_io import AnalysisOptions, ExperimentModel, _text
+from .model_io import AnalysisOptions, ExperimentModel, _text, _unique_keys
 
 TOOL_NAME = "contextprob"
 REPORT_SCHEMA = 1
@@ -172,9 +172,10 @@ def from_document(doc: Mapping[str, Any]) -> AnalysisReport:
     """Rebuild a typed report from parsed canonical JSON."""
     if not isinstance(doc, Mapping):
         raise InvariantViolation("report document must be a JSON object")
-    if doc.get("schema") != REPORT_SCHEMA:
+    schema = doc.get("schema")
+    if type(schema) is not int or schema != REPORT_SCHEMA:
         raise InvariantViolation(
-            f"expected report schema {REPORT_SCHEMA}, got {doc.get('schema')!r}",
+            f"expected report schema {REPORT_SCHEMA}, got {schema!r}",
             path="schema",
         )
     try:
@@ -230,7 +231,7 @@ def load_report(data: bytes | str) -> AnalysisReport:
     """Inverse of :func:`emit_report`."""
     text = _text(data)
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except ValueError as exc:  # also an integer literal beyond int()'s digit limit
         raise InvariantViolation(f"not valid JSON: {exc}") from None
     return from_document(doc)

@@ -125,6 +125,28 @@ class TestAnalyze:
             assert code == 2
             assert err.startswith(b"error:") and err.count(b"\n") == 1
 
+    @pytest.mark.parametrize(
+        "command, key, first, second",
+        [
+            ("analyze", "weights", "[0.1, 0.2, 0.3, 0.4]", "[0.4, 0.3, 0.2, 0.1]"),
+            ("analyze", "screen", '["up", "down", "up", "down"]', '["up", "up", "down", "down"]'),
+            ("sample", "seed", "7", "8"),
+        ],
+        ids=["weights", "variables.screen", "options.seed"],
+    )
+    def test_repeated_key_exits_2(self, command, key, first, second, tmp_path, capsysbinary):
+        text = (EXAMPLES / "classical.json").read_text()
+        once = f'"{key}": {first}'
+        assert text.count(once) == 1
+        repeated = tmp_path / "repeated.json"
+        repeated.write_text(text.replace(once, f'{once}, "{key}": {second}'))
+        argv = [command, "--model", str(repeated)]
+        if command == "sample":
+            argv += ["--variable", "screen"]
+        code, out, err = run(argv, capsysbinary)
+        assert (code, out) == (2, b"")
+        assert err == f"error: not valid JSON: duplicate key '{key}'\n".encode()
+
     @pytest.mark.parametrize("where", ["weights", "kernel"])
     @pytest.mark.parametrize(
         "row",

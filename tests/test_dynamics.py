@@ -511,6 +511,10 @@ class TestDerivedValues:
                 space, context, outcome, 100, 3, kernel
             ).counts,
             "RandomVariable.codes": outcome.codes,
+            "Context.indices": Context([1, 0]).indices,
+            "Context.full indices": context.indices,
+            "fiber indices": fiber(space, selector, "left").indices,
+            "filter_context indices": filter_context(space, context, selector, "right").indices,
         }
         for name, array in arrays.items():
             assert not array.flags.writeable, name
@@ -536,6 +540,7 @@ class TestDerivedValues:
             pytest.param(
                 lambda a: FrequencyTable("ab", a, 7, 0), [6, 1], "counts", id="FrequencyTable"
             ),
+            pytest.param(Context, [0, 2], "indices", id="Context"),
         ],
     )
     def test_constructors_copy_caller_arrays(self, build, values, field):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 from collections.abc import Mapping
 from types import MappingProxyType
@@ -180,6 +181,14 @@ class TestLoadModel:
     def test_wrong_schema(self):
         with pytest.raises(InvariantViolation) as info:
             load_model(model_text(schema=2))
+        assert info.value.path == "schema"
+
+    @pytest.mark.parametrize("schema", [True, 1.0])
+    def test_schema_must_be_an_integer(self, schema):
+        with pytest.raises(
+            InvariantViolation, match=re.escape(f"expected schema 1, got {schema!r}")
+        ) as info:
+            load_model(model_text(schema=schema))
         assert info.value.path == "schema"
 
     def test_weights_must_sum_to_one(self):
@@ -679,6 +688,19 @@ class TestReportSerialization:
         doc["schema"] = 99
         with pytest.raises(InvariantViolation):
             load_report(json.dumps(doc))
+
+    @pytest.mark.parametrize("schema", [True, 1.0])
+    def test_load_report_rejects_a_non_integer_schema(self, schema):
+        doc = json.loads(emit_report(analyze_statistics(ingest_contingency_table(TABLE))))
+        doc["schema"] = schema
+        with pytest.raises(InvariantViolation, match=re.escape(f"got {schema!r}")):
+            load_report(json.dumps(doc))
+
+    def test_load_report_rejects_a_repeated_key(self):
+        data = emit_report(analyze_statistics(ingest_contingency_table(TABLE), seed=4))
+        assert data.count(b'"seed": 4') == 1
+        with pytest.raises(InvariantViolation, match="not valid JSON: duplicate key 'seed'"):
+            load_report(data.replace(b'"seed": 4', b'"seed": 4, "seed": 5'))
 
     def test_load_report_rejects_invalid_json(self):
         with pytest.raises(InvariantViolation, match="not valid JSON"):

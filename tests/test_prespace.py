@@ -29,6 +29,9 @@ from contextprob import (
 from synth import random_space
 
 
+INTP_MAX = int(np.iinfo(np.intp).max)
+
+
 def four_point_space():
     return Prespace(["w1", "w2", "w3", "w4"], [0.1, 0.2, 0.3, 0.4])
 
@@ -121,6 +124,39 @@ class TestTypeInvariants:
             Context(np.array([], dtype=np.int64))
         with pytest.raises(InvariantViolation, match="non-negative"):
             Context(np.array([3, -1]))
+
+    @pytest.mark.parametrize(
+        "members", [[2**63], [0, 2**70], np.array([2**63], dtype=np.uint64)]
+    )
+    def test_context_beyond_intp_is_refused_at_construction(self, members):
+        with pytest.raises(InvariantViolation, match="out of range"):
+            Context(members)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_context_holds_sorted_unique_intp_indices(self, data):
+        dtype = data.draw(
+            st.sampled_from([None, np.int8, np.int64, np.uint16, np.uint64, object])
+        )
+        top = INTP_MAX if dtype in (None, object) else min(np.iinfo(dtype).max, INTP_MAX)
+        ints = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=12))
+        ints += data.draw(st.lists(st.sampled_from(ints), max_size=6))  # duplicates
+        if dtype is None:
+            members = data.draw(st.sampled_from([list, tuple, iter]))(ints)
+        else:
+            members = np.array(ints, dtype=dtype)
+        context = Context(members)
+        assert context.members == tuple(sorted(set(ints)))
+        assert all(type(i) is int for i in context.members)
+        assert context.indices.dtype == np.intp
+        assert not context.indices.flags.writeable
+        same = Context(sorted(set(ints)))
+        assert context == same and hash(context) == hash(same)
+
+    def test_contexts_with_other_members_differ(self):
+        assert Context([0, 1]) != Context([0, 2])
+        assert Context([0, 1]) != Context([0])
+        assert Context([0]) != (0,)
 
     def test_distribution_masses_must_normalize(self):
         with pytest.raises(InvariantViolation):
@@ -290,6 +326,14 @@ class TestFiber:
         v = RandomVariable("screen", ["up", "down", "up", "down"])
         with pytest.raises(UnknownValue):
             fiber(space, v, "sideways")
+
+    def test_unhashable_value_is_unknown(self):
+        space = four_point_space()
+        v = RandomVariable("screen", ["up", "down", "up", "down"])
+        with pytest.raises(UnknownValue):
+            v.value_index([1])
+        with pytest.raises(UnknownValue):
+            filter_context(space, Context.full(space), v, [1])
 
     def test_fibers_partition_the_space(self):
         rng = np.random.default_rng(11)
