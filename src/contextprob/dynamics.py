@@ -29,6 +29,7 @@ from .prespace import (
     _checked_int,
     _checked_reals,
     _set,
+    _Stored,
     conditional_distribution,
     filter_context,
     pushforward,
@@ -50,7 +51,7 @@ MAX_SAMPLE_COUNT = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True, eq=False)
-class PerturbationKernel:
+class PerturbationKernel(_Stored):
     """Row-stochastic matrix of point-to-point disturbance probabilities."""
 
     matrix: np.ndarray
@@ -119,7 +120,7 @@ def transition_probabilities(
 
 
 @dataclass(frozen=True, eq=False)
-class ContextualStatistics:
+class ContextualStatistics(_Stored):
     """Everything the interference analysis needs about one experiment.
 
     Marginals of both dichotomous variables measured directly in the
@@ -244,7 +245,7 @@ def measurement_distribution(
 
 
 @dataclass(frozen=True, eq=False)
-class FrequencyTable:
+class FrequencyTable(_Stored):
     """Counts from repeated independent draws of one variable."""
 
     support: tuple[Hashable, ...]

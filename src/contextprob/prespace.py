@@ -55,6 +55,31 @@ def _built(cls, **fields):
     return _set(object.__new__(cls), **fields)
 
 
+class _Stored:
+    """Base of the classes whose fields ``_set`` stores.
+
+    ``pickle`` and ``copy`` restore a value's fields through ``_set`` too, so
+    a copy's arrays are read-only like the original's.
+    """
+
+    def __setstate__(self, state):
+        _set(self, **state)
+
+
+def _index_of(entries: tuple, value, where: str) -> int:
+    """Position of ``value`` in ``entries``; only a bool ``==`` counts as a match.
+
+    An array compares element-wise, so ``np.array([2])`` would match ``2``.
+    """
+    try:
+        i = entries.index(value)
+        if isinstance(entries[i] == value, (bool, np.bool_)):
+            return i
+    except ValueError:  # absent, or a comparison with no single truth value
+        pass
+    raise UnknownValue(f"{value!r} is not {where}")
+
+
 def _checked_int(value, path: str | None = None) -> int:
     """A count, seed, size or index as an int; unlike int(), never truncates or parses."""
     try:
@@ -136,7 +161,7 @@ def _check_normalized(
 
 
 @dataclass(frozen=True, eq=False)
-class Prespace:
+class Prespace(_Stored):
     """Ordered finite sample space: point identifiers plus one weight each."""
 
     points: tuple[Hashable, ...]
@@ -168,6 +193,9 @@ class Prespace:
     def from_weights(cls, weights: Sequence[float]) -> "Prespace":
         """Space with auto-named points and the given weights."""
         w = _checked_reals(weights, "weights")
+        if w.ndim == 1 and w.size:  # p1..pN are unique and match w by construction
+            _check_normalized(w, "weights")
+            return _built(cls, points=tuple(f"p{i + 1}" for i in range(w.size)), weights=w)
         # atleast_1d, so a scalar reaches the shape check instead of failing here
         return cls([f"p{i + 1}" for i in range(len(np.atleast_1d(w)))], w)
 
@@ -177,7 +205,7 @@ class Prespace:
 
 
 @dataclass(frozen=True)
-class RandomVariable:
+class RandomVariable(_Stored):
     """Total map from points to a finite alphabet.
 
     ``values`` lists the variable's value at each point, in point order.  The
@@ -204,16 +232,11 @@ class RandomVariable:
         )
 
     def value_index(self, value: Hashable) -> int:
-        try:
-            return self.alphabet.index(value)
-        except ValueError:
-            raise UnknownValue(
-                f"{value!r} is not a value of variable {self.name!r}"
-            ) from None
+        return _index_of(self.alphabet, value, f"a value of variable {self.name!r}")
 
 
 @dataclass(frozen=True, eq=False)
-class Context:
+class Context(_Stored):
     """A subset of points, stored as ``indices``: sorted, unique, a read-only intp array.
 
     Index validity and positive total weight are checked against a concrete
@@ -271,7 +294,7 @@ class Context:
 
 
 @dataclass(frozen=True, eq=False)
-class Distribution:
+class Distribution(_Stored):
     """Probability masses over an explicit support."""
 
     support: tuple[Hashable, ...]
@@ -288,10 +311,7 @@ class Distribution:
         _set(self, support=support, masses=m)
 
     def mass(self, value: Hashable) -> float:
-        try:
-            return float(self.masses[self.support.index(value)])
-        except ValueError:
-            raise UnknownValue(f"{value!r} is not in the support") from None
+        return float(self.masses[_index_of(self.support, value, "in the support")])
 
 
 def _check_variable(space: Prespace, variable: RandomVariable) -> None:

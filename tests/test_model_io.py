@@ -2,6 +2,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 from collections.abc import Mapping
 from types import MappingProxyType
 
@@ -58,6 +59,65 @@ def identity_kernel(*cells):
     for i, j, value in cells:
         kernel[i][j] = value
     return kernel
+
+
+def uniform_model(n, kernel):
+    """A model document of ``n`` >= 2 equally weighted points with the given kernel."""
+    return model_document(
+        weights=[1.0 / n] * n,
+        variables={
+            "path": [("left", "right")[i % 2] for i in range(n)],
+            "screen": [("up", "down")[(i + i // 2) % 2] for i in range(n)],
+        },
+        context=list(range(n)),
+        kernel=kernel,
+    )
+
+
+def dense_model(n):
+    """A model document of ``n`` points whose kernel entries are full-precision floats."""
+    kernel = np.random.default_rng(n).uniform(0.05, 1.0, (n, n))
+    kernel /= kernel.sum(axis=1, keepdims=True)
+    return json.dumps(uniform_model(n, kernel.tolist())).encode()
+
+
+# A corrupted kernel cell holds one of these; a corrupted row is cut short or is no list.
+_BAD_ENTRIES = {"string": "x", "true": True, "null": None, "huge-integer": 10**400}
+_BAD_ROWS = ("short-row", "non-list-row")
+
+
+@st.composite
+def _corrupted_identity_kernels(draw):
+    """An identity kernel of 2 to 8 points with one or two faults, and the path named first.
+
+    That is the earliest bad row; a row's own shape is named before its entries.
+    """
+    n = draw(st.integers(2, 8))
+    faults = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n - 1),
+                st.integers(0, n - 1),
+                st.sampled_from([*_BAD_ENTRIES, *_BAD_ROWS]),
+            ),
+            min_size=1,
+            max_size=2,
+        )
+    )
+    kernel = np.eye(n).tolist()
+    for i, j, kind in faults:
+        if kind in _BAD_ENTRIES:
+            kernel[i][j] = _BAD_ENTRIES[kind]
+    bad_rows = {i: kind for i, _, kind in faults if kind in _BAD_ROWS}
+    for i, kind in bad_rows.items():
+        kernel[i] = kernel[i][:-1] if kind == "short-row" else 1.0
+    first = min(i for i, _, _ in faults)
+    if first in bad_rows:
+        path = f"kernel.row[{first}]"
+    else:
+        column = min(j for i, j, kind in faults if i == first and kind in _BAD_ENTRIES)
+        path = f"kernel.row[{first}][{column}]"
+    return n, kernel, path
 
 
 # Entries are multiples of 2**-52 below 2, so every partial sum is exact and
@@ -337,6 +397,57 @@ class TestLoadModel:
         with pytest.raises(InvariantViolation) as info:
             load_model(model_text(kernel=kernel))
         assert info.value.path == path
+
+    @given(case=_corrupted_identity_kernels())
+    @settings(max_examples=200, deadline=None)
+    def test_first_bad_kernel_row_is_named(self, case):
+        n, kernel, path = case
+        with pytest.raises(InvariantViolation) as info:
+            load_model(json.dumps(uniform_model(n, kernel)))
+        assert info.value.path == path
+
+    def test_bad_entry_before_a_short_row_is_named(self):
+        kernel = identity_kernel((1, 2, "x"))
+        kernel[3] = kernel[3][:3]
+        with pytest.raises(InvariantViolation) as info:
+            load_model(model_text(kernel=kernel))
+        assert info.value.path == "kernel.row[1][2]"
+
+    def test_short_row_before_a_bad_entry_is_named(self):
+        kernel = identity_kernel((3, 0, "x"))
+        kernel[1] = kernel[1][:3]
+        with pytest.raises(InvariantViolation) as info:
+            load_model(model_text(kernel=kernel))
+        assert info.value.path == "kernel.row[1]"
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            pytest.param(dense_model(30), id="dense"),
+            pytest.param(model_text(kernel=np.eye(4, dtype=int).tolist()), id="integers"),
+        ],
+    )
+    def test_loaded_kernel_is_the_documents_matrix(self, raw):
+        matrix = load_model(raw).kernel.matrix
+        assert not matrix.flags.writeable
+        expected = np.array(json.loads(raw)["kernel"], dtype=float)
+        assert matrix.dtype == expected.dtype and matrix.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [60, 120])
+    def test_loading_holds_one_copy_of_a_dense_document(self, n):
+        raw = dense_model(n)
+
+        def peak(load):
+            tracemalloc.start()
+            try:
+                load(raw)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        load_model(raw)  # the first call also allocates one-off state
+        # Parsing holds the text and the document together; loading should hold no more.
+        assert peak(load_model) <= 1.05 * peak(lambda raw: json.loads(raw.decode()))
 
     def test_weight_too_large_for_a_float(self):
         with pytest.raises(InvariantViolation) as info:

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 import re
 
 import numpy as np
@@ -9,9 +11,12 @@ from hypothesis import strategies as st
 
 from contextprob import (
     Context,
+    ContextualStatistics,
     DegenerateContext,
     Distribution,
+    FrequencyTable,
     InvariantViolation,
+    PerturbationKernel,
     Prespace,
     RandomVariable,
     TypeMismatch,
@@ -212,6 +217,49 @@ class TestTypeInvariants:
         assert (v.alphabet, v.codes.tolist()) == (("b", "a"), [0, 1, 0])
 
 
+def _stored_values():
+    """One value of each class whose fields ``_set`` stores."""
+    return [
+        four_point_space(),
+        RandomVariable("v", ["b", "a", "b"]),
+        Context([3, 1, 2]),
+        Distribution(["x", "y"], [0.25, 0.75]),
+        PerturbationKernel.identity(3),
+        ContextualStatistics(
+            ("s1", "s2"), ("o1", "o2"), [0.5, 0.5], [0.25, 0.75], [[0.5, 0.5], [0.0, 1.0]]
+        ),
+        FrequencyTable("ab", [6, 1], 7, 0),
+    ]
+
+
+COPIES = {"pickle": lambda value: pickle.loads(pickle.dumps(value)), "deepcopy": copy.deepcopy}
+
+
+class TestCopies:
+    @pytest.mark.parametrize("how", sorted(COPIES))
+    @pytest.mark.parametrize(
+        "value", _stored_values(), ids=lambda value: type(value).__name__
+    )
+    def test_a_copy_holds_equal_read_only_arrays(self, value, how):
+        copied = COPIES[how](value)
+        assert vars(copied).keys() == vars(value).keys()
+        arrays = [name for name, field in vars(value).items() if isinstance(field, np.ndarray)]
+        assert arrays
+        for name in arrays:
+            array = getattr(copied, name)
+            assert not array.flags.writeable, name
+            assert array.dtype == getattr(value, name).dtype
+            np.testing.assert_array_equal(array, getattr(value, name))
+
+    @pytest.mark.parametrize("how", sorted(COPIES))
+    def test_a_copied_context_equals_its_original(self, how):
+        context = Context([3, 1, 2])
+        copied = COPIES[how](context)
+        assert copied == context and hash(copied) == hash(context)
+        with pytest.raises(ValueError, match="read-only"):
+            copied.indices[0] = 5
+
+
 class TestContextProbability:
     def test_full_context_has_probability_one(self):
         space = four_point_space()
@@ -334,6 +382,23 @@ class TestFiber:
             v.value_index([1])
         with pytest.raises(UnknownValue):
             filter_context(space, Context.full(space), v, [1])
+
+    def test_a_value_must_compare_as_one_bool(self):
+        # an array compares element-wise, so np.array([2]) == 2 is array([True])
+        space = Prespace.uniform(3)
+        v = RandomVariable("v", [1, 2, 1])
+        assert v.value_index(np.int64(2)) == 1
+        for lookup in (
+            v.value_index,
+            lambda value: fiber(space, v, value),
+            lambda value: filter_context(space, Context.full(space), v, value),
+        ):
+            with pytest.raises(UnknownValue, match=r"^array\(\[2\]\) is not a value of variable 'v'$"):
+                lookup(np.array([2]))
+        distribution = Distribution([1, 2], [0.25, 0.75])
+        assert distribution.mass(np.int64(2)) == 0.75
+        with pytest.raises(UnknownValue, match=r"^array\(\[2\]\) is not in the support$"):
+            distribution.mass(np.array([2]))
 
     def test_fibers_partition_the_space(self):
         rng = np.random.default_rng(11)
