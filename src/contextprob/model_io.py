@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
 import sys
@@ -33,8 +32,8 @@ from .dynamics import (
 from .errors import DegenerateData, InvariantViolation
 from .interference import DEFAULT_CLASSIFY_TOLERANCE
 from .prespace import (
-    Context, Prespace, RandomVariable, _built, _check_normalized, _checked_int,
-    _checked_reals, _real_types, context_probability,
+    Context, Prespace, RandomVariable, _built, _checked_int, _checked_reals,
+    context_probability,
 )
 
 SCHEMA_VERSION = 1
@@ -219,23 +218,13 @@ def load_model(data: bytes | str) -> ExperimentModel:
     if raw_kernel is not None:
         if not isinstance(raw_kernel, list) or len(raw_kernel) != size:
             _fail("kernel", f"expected {size} rows")
-        # Checked and converted whole; walked to the first bad row only when that fails.
-        rows_fit = all(isinstance(row, list) and len(row) == size for row in raw_kernel)
-        matrix = None
-        if rows_fit and _real_types(set(map(type, itertools.chain.from_iterable(raw_kernel)))):
-            try:
-                matrix = np.array(raw_kernel, dtype=float)
-            except OverflowError:  # an integer too large for a float
-                pass
-        if matrix is None:
-            matrix = np.empty((size, size))
-            for i, row in enumerate(raw_kernel):
-                if not isinstance(row, list) or len(row) != size:
-                    _fail(f"kernel.row[{i}]", f"expected {size} entries")
-                matrix[i] = _checked_reals(row, "kernel", f"kernel.row[{i}][{{}}]")
-        # The check PerturbationKernel makes, naming the row; the matrix is new, so not copied.
-        _check_normalized(matrix, "kernel")
-        kernel = _built(PerturbationKernel, matrix=matrix)
+        matrix = np.empty((size, size))
+        for i, row in enumerate(raw_kernel):
+            if not isinstance(row, list) or len(row) != size:
+                _fail(f"kernel.row[{i}]", f"expected {size} entries")
+            matrix[i] = _checked_reals(row, "kernel", f"kernel.row[{i}][{{}}]")
+        # PerturbationKernel checks the numeric invariants and names the row.
+        kernel = PerturbationKernel(matrix)
 
     options = _load_options(doc.get("options"))
     return ExperimentModel(

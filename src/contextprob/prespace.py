@@ -67,15 +67,17 @@ class _Stored:
 
 
 def _index_of(entries: tuple, value, where: str) -> int:
-    """Position of ``value`` in ``entries``; only a bool ``==`` counts as a match.
+    """Position of ``value`` in ``entries``; only a hashable value with a bool ``==`` matches.
 
-    An array compares element-wise, so ``np.array([2])`` would match ``2``.
+    Entries are hashable. An array compares element-wise, so ``np.array([2])``,
+    or a tuple holding one, would otherwise match ``2``.
     """
     try:
+        hash(value)  # an array, even one nested in a tuple, is unhashable
         i = entries.index(value)
         if isinstance(entries[i] == value, (bool, np.bool_)):
             return i
-    except ValueError:  # absent, or a comparison with no single truth value
+    except (TypeError, ValueError):  # unhashable, absent, or no single truth value
         pass
     raise UnknownValue(f"{value!r} is not {where}")
 
@@ -193,9 +195,6 @@ class Prespace(_Stored):
     def from_weights(cls, weights: Sequence[float]) -> "Prespace":
         """Space with auto-named points and the given weights."""
         w = _checked_reals(weights, "weights")
-        if w.ndim == 1 and w.size:  # p1..pN are unique and match w by construction
-            _check_normalized(w, "weights")
-            return _built(cls, points=tuple(f"p{i + 1}" for i in range(w.size)), weights=w)
         # atleast_1d, so a scalar reaches the shape check instead of failing here
         return cls([f"p{i + 1}" for i in range(len(np.atleast_1d(w)))], w)
 

@@ -400,6 +400,16 @@ class TestFiber:
         with pytest.raises(UnknownValue, match=r"^array\(\[2\]\) is not in the support$"):
             distribution.mass(np.array([2]))
 
+    def test_an_array_nested_in_a_value_is_unknown(self):
+        # the tuples compare entry by entry, and 2 == np.array([2]) is truthy
+        v = RandomVariable("v", [(1, 2), (3, 4)])
+        assert v.value_index((3, np.int64(4))) == 1
+        with pytest.raises(UnknownValue, match=r"is not a value of variable 'v'$"):
+            v.value_index((1, np.array([2])))
+        distribution = Distribution([(1, 2), (3, 4)], [0.25, 0.75])
+        with pytest.raises(UnknownValue, match=r"is not in the support$"):
+            distribution.mass((3, np.array([4])))
+
     def test_fibers_partition_the_space(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
