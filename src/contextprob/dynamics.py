@@ -71,7 +71,7 @@ class PerturbationKernel(_Stored):
         n = _checked_int(n)
         if n < 1:
             raise InvariantViolation("a kernel needs at least one point")
-        return cls(np.eye(n))
+        return _built(cls, matrix=np.eye(n))  # stochastic by construction: no checking copy
 
     @property
     def size(self) -> int:

@@ -32,8 +32,8 @@ from .dynamics import (
 from .errors import DegenerateData, InvariantViolation
 from .interference import DEFAULT_CLASSIFY_TOLERANCE
 from .prespace import (
-    Context, Prespace, RandomVariable, _built, _checked_int, _checked_reals,
-    context_probability,
+    Context, Prespace, RandomVariable, _AutoNames, _built, _check_normalized, _checked_int,
+    _checked_reals, context_probability,
 )
 
 SCHEMA_VERSION = 1
@@ -145,23 +145,24 @@ def load_model(data: bytes | str) -> ExperimentModel:
     weights = doc.get("weights")
     if not isinstance(weights, list) or not weights:
         _fail("weights", "expected a non-empty list of numbers")
-    weights = _checked_reals(weights, "weights", "weights[{}]")
+    weights = _checked_reals(weights, "weights", "weights[{}]")  # flat, so one dimension
 
     points = doc.get("points")
-    if points is not None:
+    if points is None:
+        points = _AutoNames(len(weights))
+    else:
         if not isinstance(points, list) or not set(map(type, points)) <= {str}:
             _fail("points", "expected a list of strings")
         if len(points) != len(weights):
             _fail("points", f"{len(points)} points for {len(weights)} weights")
         if len(set(points)) != len(points):
             _fail("points", "point identifiers must be unique")
+        points = tuple(points)
     try:
-        if points is None:
-            prespace = Prespace.from_weights(weights)
-        else:
-            prespace = Prespace(points, weights)
+        _check_normalized(weights, "weights")
     except InvariantViolation as exc:
         _fail("weights", str(exc))
+    prespace = _built(Prespace, points=points, weights=weights)
 
     raw_variables = doc.get("variables")
     if not isinstance(raw_variables, dict) or not raw_variables:
@@ -209,7 +210,10 @@ def load_model(data: bytes | str) -> ExperimentModel:
         for k, member in enumerate(raw_context):
             if not 0 <= member < size:
                 _fail(f"context[{k}]", f"index {member} out of range")
-    context = Context(raw_context)
+    # Checked above, so built from a membership mask: sorted and unique by construction.
+    mask = np.zeros(size, dtype=bool)
+    mask[raw_context] = True
+    context = _built(Context, indices=np.flatnonzero(mask))
     if context_probability(prespace, context) <= 0.0:
         _fail("context", "context carries zero total weight")
 

@@ -24,6 +24,7 @@ import math
 import numbers
 import operator
 import reprlib
+import sys
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
@@ -162,11 +163,83 @@ def _check_normalized(
             )
 
 
+def _check_weights(w: np.ndarray, n: int) -> None:
+    """Check that ``w`` is a probability vector over ``n`` points."""
+    if w.ndim != 1 or w.shape[0] != n:
+        raise InvariantViolation(f"expected {n} weights, got shape {w.shape}")
+    _check_normalized(w, "weights")
+
+
+class _AutoNames(collections.abc.Sequence):
+    """The names ``("p1", ..., "pN")`` of an auto-named space, each made when read.
+
+    Equal to that tuple both ways, with its hash, length, indexing, slicing,
+    ``in``, ``count`` and ``index``; ``index`` parses ``"p<k>"`` without a scan.
+    """
+
+    __slots__ = ("_n",)
+
+    def __init__(self, n: int):
+        self._n = n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(f"p{k + 1}" for k in range(self._n)[i])
+        return f"p{range(self._n)[i] + 1}"  # the range refuses an index as a tuple would
+
+    def __iter__(self):
+        return (f"p{k}" for k in range(1, self._n + 1))
+
+    def index(self, value, start: int = 0, stop: int = sys.maxsize) -> int:
+        digits = value[1:] if isinstance(value, str) and value[:1] == "p" else ""
+        # int() reads any decimal digits; only the name it parses back to is one
+        if digits.isdecimal() and len(digits) <= len(str(self._n)):
+            i = int(digits) - 1
+            if value == f"p{i + 1}" and i in range(self._n)[start:stop]:
+                return i
+        raise ValueError(f"{value!r} is not an auto-named point")
+
+    def __contains__(self, value) -> bool:
+        try:
+            self.index(value)
+        except ValueError:
+            return False
+        return True
+
+    def count(self, value) -> int:
+        return int(value in self)
+
+    def __eq__(self, other):
+        if isinstance(other, _AutoNames):
+            return self._n == other._n
+        if isinstance(other, tuple):
+            return len(other) == self._n and other == tuple(self)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+    def __reduce__(self):
+        return _AutoNames, (self._n,)
+
+
 @dataclass(frozen=True, eq=False)
 class Prespace(_Stored):
-    """Ordered finite sample space: point identifiers plus one weight each."""
+    """Ordered finite sample space: point identifiers plus one weight each.
 
-    points: tuple[Hashable, ...]
+    ``points`` is a tuple of the given identifiers.  An auto-named space
+    (:meth:`from_weights`, :meth:`uniform`, a model document without
+    ``points``) holds a sequence equal to the tuple ``("p1", ..., "pN")``
+    that makes each name only when it is read.
+    """
+
+    points: Sequence[Hashable]
     weights: np.ndarray
 
     def __init__(self, points: Sequence[Hashable], weights: Sequence[float]):
@@ -176,11 +249,7 @@ class Prespace(_Stored):
         if len(set(points)) != len(points):
             raise InvariantViolation("point identifiers must be unique")
         w = _checked_reals(weights, "weights")
-        if w.ndim != 1 or w.shape[0] != len(points):
-            raise InvariantViolation(
-                f"expected {len(points)} weights, got shape {w.shape}"
-            )
-        _check_normalized(w, "weights")
+        _check_weights(w, len(points))
         _set(self, points=points, weights=w)
 
     @classmethod
@@ -195,8 +264,11 @@ class Prespace(_Stored):
     def from_weights(cls, weights: Sequence[float]) -> "Prespace":
         """Space with auto-named points and the given weights."""
         w = _checked_reals(weights, "weights")
-        # atleast_1d, so a scalar reaches the shape check instead of failing here
-        return cls([f"p{i + 1}" for i in range(len(np.atleast_1d(w)))], w)
+        n = w.shape[0] if w.ndim else 1  # a scalar counts as one weight of the wrong shape
+        if not n:
+            raise InvariantViolation("a prespace needs at least one point")
+        _check_weights(w, n)
+        return _built(cls, points=_AutoNames(n), weights=w)
 
     @property
     def size(self) -> int:

@@ -199,6 +199,18 @@ class TestPerturbationKernel:
             PerturbationKernel.identity(3).matrix, np.eye(3)
         )
 
+    def test_identity_holds_one_matrix(self):
+        PerturbationKernel.identity(2)  # the first call also allocates one-off state
+        tracemalloc.start()
+        try:
+            kernel = PerturbationKernel.identity(1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 8 * 1000 * 1000  # one float matrix, not a checked copy too
+        assert not kernel.matrix.flags.writeable
+        np.testing.assert_array_equal(kernel.matrix, np.eye(1000))
+
 
 class TestApplyKernel:
     def test_identity_is_noop(self):
@@ -206,6 +218,8 @@ class TestApplyKernel:
         dist = Distribution(space.points, [0.2, 0.3, 0.5])
         moved = apply_kernel(space, dist, PerturbationKernel.identity(3))
         np.testing.assert_allclose(moved.masses, dist.masses, atol=1e-15)
+        assert moved.support is space.points
+        assert moved.mass("p3") == dist.mass("p3") == 0.5
 
     def test_uniform_source_through_example_kernel(self):
         space, _, _, _, kernel = two_point_model()

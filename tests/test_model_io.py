@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contextprob import (
+    Context,
     ContextualStatistics,
     DegenerateData,
     InvariantViolation,
@@ -79,6 +80,15 @@ def dense_model(n):
     kernel = np.random.default_rng(n).uniform(0.05, 1.0, (n, n))
     kernel /= kernel.sum(axis=1, keepdims=True)
     return json.dumps(uniform_model(n, kernel.tolist())).encode()
+
+
+def kernel_free_model(n):
+    """A model document of ``n`` points with full-precision weights and no kernel."""
+    weights = np.random.default_rng(n).uniform(0.05, 1.0, n)
+    doc = uniform_model(n, None)
+    del doc["kernel"]
+    doc["weights"] = (weights / weights.sum()).tolist()
+    return json.dumps(doc).encode()
 
 
 # A corrupted kernel cell holds one of these; a corrupted row is cut short or is no list.
@@ -448,6 +458,57 @@ class TestLoadModel:
         load_model(raw)  # the first call also allocates one-off state
         # Parsing holds the text and the document together; loading should hold no more.
         assert peak(load_model) <= 1.05 * peak(lambda raw: json.loads(raw.decode()))
+
+    @pytest.mark.parametrize("n", [2000, 4000])
+    def test_loading_a_kernel_free_document_makes_no_per_point_objects(self, n):
+        raw = kernel_free_model(n)
+
+        def peak(load):
+            tracemalloc.start()
+            try:
+                load(raw)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        load_model(raw)  # the first call also allocates one-off state
+        # Point names and a set of context members would each add a Python object per point.
+        assert peak(load_model) <= 1.2 * peak(lambda raw: json.loads(raw.decode()))
+
+    @given(st.integers(2, 12), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_loaded_context_is_the_constructed_one(self, n, data):
+        members = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+        context = load_model(json.dumps(uniform_model(n, None) | {"context": members})).context
+        assert context == Context(members) and hash(context) == hash(Context(members))
+        assert context.members == tuple(sorted(set(members)))
+        assert context.indices.dtype == np.intp and not context.indices.flags.writeable
+        k = data.draw(st.integers(0, len(members)), label="k")
+        bad = data.draw(st.sampled_from([True, 1.0, "0", None, -1, n]), label="bad")
+        with pytest.raises(InvariantViolation) as info:
+            load_model(json.dumps(uniform_model(n, None) | {"context": members[:k] + [bad] + members[k:]}))
+        assert info.value.path == f"context[{k}]"
+
+    @pytest.mark.parametrize("points", [None, ["a", "b", "c", "d"]], ids=["auto-named", "explicit"])
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"points": "abcd"}, "points: expected a list of strings"),
+            ({"points": ["a", "b", "c"]}, "points: 3 points for 4 weights"),
+            ({"points": ["a", "a", "b", "c"]}, "points: point identifiers must be unique"),
+            ({"weights": [0.5, 0.6, 0.0, 0.0]}, "weights: weights must sum to 1 within 1e-12, got 1.1"),
+            ({"weights": [1.5, -0.5, 0.0, 0.0]}, "weights: weights must be non-negative"),
+            ({"weights": [math.nan, 1.0, 0.0, 0.0]}, "weights: weights must be finite"),
+            ({"weights": [1e308, 1e308, 0.0, 0.0]}, "weights: weights must sum to 1 within 1e-12, got inf"),
+            ({"weights": [0.1, True, 0.3, 0.4]}, "weights[1]: expected a number, got True"),
+            ({"weights": [0.1, 10**400, 0.3, 0.4]}, "weights[1]: number is too large for a float"),
+            ({"weights": []}, "weights: expected a non-empty list of numbers"),
+        ],
+    )
+    def test_point_and_weight_diagnostics(self, points, fields, message):
+        doc = model_document() if points is None else model_document(points=points)
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+            load_model(json.dumps(doc | fields))
 
     def test_weight_too_large_for_a_float(self):
         with pytest.raises(InvariantViolation) as info:

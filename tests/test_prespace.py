@@ -3,6 +3,7 @@ import dataclasses
 import math
 import pickle
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -221,6 +222,7 @@ def _stored_values():
     """One value of each class whose fields ``_set`` stores."""
     return [
         four_point_space(),
+        pytest.param(Prespace.uniform(3), id="Prespace-auto-named"),
         RandomVariable("v", ["b", "a", "b"]),
         Context([3, 1, 2]),
         Distribution(["x", "y"], [0.25, 0.75]),
@@ -258,6 +260,81 @@ class TestCopies:
         assert copied == context and hash(copied) == hash(context)
         with pytest.raises(ValueError, match="read-only"):
             copied.indices[0] = 5
+
+    @pytest.mark.parametrize("how", sorted(COPIES))
+    def test_a_copied_auto_named_space_keeps_its_names(self, how):
+        copied = COPIES[how](Prespace.uniform(3))
+        assert copied.points == ("p1", "p2", "p3") and copied.size == 3
+        assert type(copied.points) is type(Prespace.uniform(3).points)
+
+
+def _names(n):
+    return tuple(f"p{k}" for k in range(1, n + 1))
+
+
+def _near_names(n):
+    """Values that look like, or are, the names of ``n`` points."""
+    return ["p0", "p01", "p001", "P1", "p", "", "p-1", "p+1", "p1_0", " p1", "p1 ", "p١",
+            "p¹", f"p{n}", f"p0{n}", f"p{n + 1}", "p1" + "0" * 5000, 1, 1.0, None, ("p1",)]
+
+
+class TestAutoNames:
+    @given(st.integers(1, 300), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_behaves_like_the_tuple_of_names(self, n, data):
+        names, expected = Prespace.uniform(n).points, _names(n)
+        assert names == expected and expected == names
+        assert not names != expected and not expected != names
+        assert names != expected + ("x",) and names != expected[:-1] + ("x",)
+        assert names != list(expected) and expected[:-1] + ("x",) != names
+        assert hash(names) == hash(expected)
+        assert len(names) == n and tuple(names) == expected
+        assert list(reversed(names)) == list(reversed(expected))
+        i = data.draw(st.integers(-n, n - 1), label="i")
+        assert names[i] == expected[i]
+        for outside in (n, -n - 1):
+            with pytest.raises(IndexError):
+                names[outside]
+        bound = st.none() | st.integers(-n - 2, n + 2)
+        step = st.none() | st.integers(-3, 3).filter(bool)
+        cut = slice(data.draw(bound), data.draw(bound), data.draw(step))
+        assert names[cut] == expected[cut]
+        start, stop = data.draw(bound.filter(lambda b: b is not None)), data.draw(bound)
+        stop = sys.maxsize if stop is None else stop
+        drawn = data.draw(st.sampled_from(expected) | st.text("p0123456789", max_size=4))
+        for value in [drawn, *_near_names(n)]:
+            assert (value in names) == (value in expected)
+            assert names.count(value) == expected.count(value)
+            for args in ((), (start,), (start, stop)):
+                try:
+                    position = expected.index(value, *args)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        names.index(value, *args)
+                else:
+                    assert names.index(value, *args) == position
+
+    def test_only_explicit_points_are_stored_as_a_tuple(self):
+        assert type(Prespace(["a", "b"], [0.5, 0.5]).points) is tuple
+        for space in (Prespace.uniform(2), Prespace.from_weights([0.5, 0.5])):
+            assert type(space.points) is not tuple and space.points == ("p1", "p2")
+
+    def test_point_distributions_carry_the_names(self):
+        space = Prespace.uniform(12)
+        distribution = conditional_distribution(space, Context([6, 8]))
+        assert distribution.support is space.points
+        assert distribution.mass("p7") == 0.5 and distribution.mass("p1") == 0.0
+        for value in ("p0", "p01", "P1", 1, "p13"):
+            with pytest.raises(UnknownValue, match="is not in the support$"):
+                distribution.mass(value)
+
+    def test_from_weights_messages(self):
+        with pytest.raises(InvariantViolation, match=r"^expected 1 weights, got shape \(\)$"):
+            Prespace.from_weights(1.0)
+        with pytest.raises(InvariantViolation, match="^a prespace needs at least one point$"):
+            Prespace.from_weights([])
+        with pytest.raises(InvariantViolation, match="^weights must sum to 1 within 1e-12, got 0.9$"):
+            Prespace.from_weights([0.5, 0.4])
 
 
 class TestContextProbability:
