@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -33,7 +34,7 @@ from .errors import DegenerateData, InvariantViolation
 from .interference import DEFAULT_CLASSIFY_TOLERANCE
 from .prespace import (
     Context, Prespace, RandomVariable, _AutoNames, _built, _check_normalized, _checked_int,
-    _checked_reals, context_probability,
+    _checked_reals, _real_types, context_probability,
 )
 
 SCHEMA_VERSION = 1
@@ -130,7 +131,7 @@ def load_model(data: bytes | str) -> ExperimentModel:
     text = _text(data)
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
-    except ValueError as exc:  # also an integer literal beyond int()'s digit limit
+    except (ValueError, RecursionError) as exc:  # also nesting too deep, or an over-long integer
         raise InvariantViolation(f"not valid JSON: {exc}") from None
     del text  # held no longer than the parse: it is as large as the document
     if not isinstance(doc, dict):
@@ -222,13 +223,22 @@ def load_model(data: bytes | str) -> ExperimentModel:
     if raw_kernel is not None:
         if not isinstance(raw_kernel, list) or len(raw_kernel) != size:
             _fail("kernel", f"expected {size} rows")
-        matrix = np.empty((size, size))
-        for i, row in enumerate(raw_kernel):
-            if not isinstance(row, list) or len(row) != size:
-                _fail(f"kernel.row[{i}]", f"expected {size} entries")
-            matrix[i] = _checked_reals(row, "kernel", f"kernel.row[{i}][{{}}]")
-        # PerturbationKernel checks the numeric invariants and names the row.
-        kernel = PerturbationKernel(matrix)
+        # Checked and converted whole; walked to the first bad row only when that fails.
+        matrix = None
+        rows_fit = all(isinstance(row, list) and len(row) == size for row in raw_kernel)
+        if rows_fit and _real_types(set(map(type, itertools.chain.from_iterable(raw_kernel)))):
+            try:
+                matrix = np.array(raw_kernel, dtype=float)
+            except OverflowError:  # an integer too large for a float; the walk names it
+                pass
+        if matrix is None:
+            for i, row in enumerate(raw_kernel):
+                if not isinstance(row, list) or len(row) != size:
+                    _fail(f"kernel.row[{i}]", f"expected {size} entries")
+                _checked_reals(row, "kernel", f"kernel.row[{i}][{{}}]")
+            raise AssertionError("a kernel that failed its whole check has no bad row")
+        _check_normalized(matrix, "kernel")  # names the first bad row
+        kernel = _built(PerturbationKernel, matrix=matrix)  # square and checked above
 
     options = _load_options(doc.get("options"))
     return ExperimentModel(

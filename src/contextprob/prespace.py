@@ -415,13 +415,14 @@ def conditional_distribution(space: Prespace, context: Context) -> Distribution:
     Raises :class:`DegenerateContext` when the context carries no weight.
     """
     members = _member_indices(space, context)
-    total = float(space.weights[members].sum())
+    member_weights = space.weights[members]
+    total = float(member_weights.sum())
     if total <= 0.0:
         raise DegenerateContext(
             "cannot condition on a context of zero probability"
         )
     masses = np.zeros(space.size)
-    masses[members] = space.weights[members] / total
+    masses[members] = member_weights / total
     return _built(Distribution, support=space.points, masses=masses)
 
 

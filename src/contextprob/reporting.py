@@ -232,7 +232,7 @@ def load_report(data: bytes | str) -> AnalysisReport:
     text = _text(data)
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
-    except ValueError as exc:  # also an integer literal beyond int()'s digit limit
+    except (ValueError, RecursionError) as exc:  # also nesting too deep, or an over-long integer
         raise InvariantViolation(f"not valid JSON: {exc}") from None
     return from_document(doc)
 

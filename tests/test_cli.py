@@ -125,6 +125,18 @@ class TestAnalyze:
             assert code == 2
             assert err.startswith(b"error:") and err.count(b"\n") == 1
 
+    def test_deeply_nested_model_exits_2(self, tmp_path):
+        # A fresh interpreter, as a user runs it: the parser's recursion error must not escape.
+        bad = tmp_path / "nested.json"
+        bad.write_text("[" * 100_000 + "]" * 100_000)
+        result = subprocess.run(
+            [sys.executable, "-m", "contextprob", "analyze", "--model", str(bad)],
+            capture_output=True,
+        )
+        assert (result.returncode, result.stdout) == (2, b"")
+        assert result.stderr.startswith(b"error: not valid JSON: maximum recursion depth")
+        assert result.stderr.count(b"\n") == 1
+
     @pytest.mark.parametrize(
         "command, key, first, second",
         [

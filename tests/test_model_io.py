@@ -91,6 +91,10 @@ def kernel_free_model(n):
     return json.dumps(doc).encode()
 
 
+# Deeper than json.loads can recurse: arrays, then objects.
+DEEPLY_NESTED = ["[" * 100_000 + "]" * 100_000, '{"a": ' * 100_000 + "1" + "}" * 100_000]
+
+
 # A corrupted kernel cell holds one of these; a corrupted row is cut short or is no list.
 _BAD_ENTRIES = {"string": "x", "true": True, "null": None, "huge-integer": 10**400}
 _BAD_ROWS = ("short-row", "non-list-row")
@@ -237,6 +241,12 @@ class TestLoadModel:
     def test_invalid_json(self):
         with pytest.raises(InvariantViolation, match="not valid JSON"):
             load_model("{nope")
+
+    @pytest.mark.parametrize("load", [load_model, load_report])
+    @pytest.mark.parametrize("text", DEEPLY_NESTED, ids=["arrays", "objects"])
+    def test_deep_nesting_is_invalid_json(self, load, text):
+        with pytest.raises(InvariantViolation, match="^not valid JSON: maximum recursion depth"):
+            load(text)
 
     def test_top_level_must_be_an_object(self):
         with pytest.raises(InvariantViolation) as info:
@@ -435,6 +445,11 @@ class TestLoadModel:
         [
             pytest.param(dense_model(30), id="dense"),
             pytest.param(model_text(kernel=np.eye(4, dtype=int).tolist()), id="integers"),
+            pytest.param(
+                model_text(kernel=[[1, 0.0, 0, 0], [0.25, 0, 0.75, 0], [0, 0, 1.0, 0], [0, 0, 0, 1]]),
+                id="mixed-int-float",
+            ),
+            pytest.param(model_text(kernel=identity_kernel((1, 2, -0.0))), id="negative-zero"),
         ],
     )
     def test_loaded_kernel_is_the_documents_matrix(self, raw):
