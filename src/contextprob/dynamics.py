@@ -212,7 +212,7 @@ def is_contextually_sensitive(
     """
     predicted = statistics.selector_marginals @ statistics.transition
     gap = float(np.max(np.abs(statistics.outcome_marginals - predicted)))
-    return gap > tolerance
+    return bool(gap > tolerance)  # a numpy tolerance would make an np.bool_
 
 
 def measurement_distribution(

@@ -34,7 +34,7 @@ from .errors import DegenerateData, InvariantViolation
 from .interference import DEFAULT_CLASSIFY_TOLERANCE
 from .prespace import (
     Context, Prespace, RandomVariable, _AutoNames, _built, _check_normalized, _checked_int,
-    _checked_reals, _real_types, context_probability,
+    _checked_reals, _real_types, _shown, context_probability,
 )
 
 SCHEMA_VERSION = 1
@@ -181,7 +181,7 @@ def load_model(data: bytes | str) -> ExperimentModel:
         if not types <= _VALUE_TYPES or float in types:
             for i, value in enumerate(values):
                 if type(value) not in _VALUE_TYPES:
-                    _fail(f"{path}[{i}]", f"values must be strings or numbers, got {value!r}")
+                    _fail(f"{path}[{i}]", f"values must be strings or numbers, got {_shown(value)}")
                 if type(value) is float and not math.isfinite(value):
                     _fail(f"{path}[{i}]", f"values must be finite, got {value!r}")
         variables[name] = RandomVariable(name, values)
@@ -192,12 +192,12 @@ def load_model(data: bytes | str) -> ExperimentModel:
         if not isinstance(name, str):
             _fail(role, "expected the name of a variable")
         if name not in variables:
-            _fail(role, f"no variable named {name!r}")
+            _fail(role, f"no variable named {_shown(name)}")
         arity = len(variables[name].alphabet)
         if arity != 2:
             _fail(
                 role,
-                f"variable {name!r} must take exactly 2 values, found {arity}",
+                f"variable {_shown(name)} must take exactly 2 values, found {arity}",
             )
 
     raw_context = doc.get("context")

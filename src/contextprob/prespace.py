@@ -40,6 +40,7 @@ from .errors import (
 WEIGHT_TOLERANCE = 1e-12
 DISPERSION_CLAMP = 1e-12
 _INTP_MAX = np.iinfo(np.intp).max  # hoisted: np.iinfo costs as much as a small Context
+_SHOWN_LIMIT = 200  # longest repr of a value that a diagnostic shows whole
 
 
 def _set(instance, **fields):
@@ -67,6 +68,12 @@ class _Stored:
         _set(self, **state)
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for a diagnostic, shortened by ``reprlib`` when it is long."""
+    text = repr(value)
+    return text if len(text) <= _SHOWN_LIMIT else reprlib.repr(value)
+
+
 def _index_of(entries: tuple, value, where: str) -> int:
     """Position of ``value`` in ``entries``; only a hashable value with a bool ``==`` matches.
 
@@ -80,7 +87,7 @@ def _index_of(entries: tuple, value, where: str) -> int:
             return i
     except (TypeError, ValueError):  # unhashable, absent, or no single truth value
         pass
-    raise UnknownValue(f"{value!r} is not {where}")
+    raise UnknownValue(f"{_shown(value)} is not {where}")
 
 
 def _checked_int(value, path: str | None = None) -> int:
@@ -91,7 +98,7 @@ def _checked_int(value, path: str | None = None) -> int:
             return operator.index(value)
     except TypeError:
         pass
-    raise InvariantViolation(f"expected an integer, got {value!r}", path=path)
+    raise InvariantViolation(f"expected an integer, got {_shown(value)}", path=path)
 
 
 def _real_types(types: set) -> bool:
@@ -122,7 +129,7 @@ def _checked_reals(values, noun: str, path: str | None = None) -> np.ndarray:
         for i, entry in enumerate(values):
             where = path.format(i)
             if not _real_types({type(entry)}):
-                raise InvariantViolation(f"expected a number, got {entry!r}", path=where)
+                raise InvariantViolation(f"expected a number, got {_shown(entry)}", path=where)
             try:
                 float(entry)
             except OverflowError:

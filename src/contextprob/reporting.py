@@ -119,55 +119,6 @@ def analyze_model(
     )
 
 
-def _statistics_document(statistics: ContextualStatistics) -> dict[str, Any]:
-    return {
-        "selector_labels": list(statistics.selector_labels),
-        "outcome_labels": list(statistics.outcome_labels),
-        "selector_marginals": statistics.selector_marginals.tolist(),
-        "outcome_marginals": statistics.outcome_marginals.tolist(),
-        "transition": statistics.transition.tolist(),
-    }
-
-
-def _entry_document(entry: OutcomeInterference) -> dict[str, Any]:
-    return {
-        "outcome": entry.outcome,
-        "observed": entry.observed,
-        "branches": list(entry.branches),
-        "coefficient": entry.coefficient,
-        "classification": entry.classification.value,
-        "phase": entry.phase,
-        "sign": entry.sign,
-    }
-
-
-def to_document(report: AnalysisReport) -> dict[str, Any]:
-    """Plain-data form of a report, ready for canonical serialization."""
-    return {
-        "schema": REPORT_SCHEMA,
-        "tool": {"name": TOOL_NAME, "version": report.tool_version},
-        "input_digest": report.input_digest,
-        "seed": report.seed,
-        "statistics": _statistics_document(report.statistics),
-        "interference": {
-            "classify_tolerance": report.interference.classify_tolerance,
-            "entries": [
-                _entry_document(entry) for entry in report.interference.entries
-            ],
-        },
-        "amplitudes": {
-            "regime": report.regime,
-            "components": (
-                None
-                if report.amplitude_components is None
-                else [list(pair) for pair in report.amplitude_components]
-            ),
-        },
-        "born_residual": report.born_residual,
-        "contextually_sensitive": report.contextually_sensitive,
-    }
-
-
 def from_document(doc: Mapping[str, Any]) -> AnalysisReport:
     """Rebuild a typed report from parsed canonical JSON."""
     if not isinstance(doc, Mapping):
@@ -223,8 +174,90 @@ def from_document(doc: Mapping[str, Any]) -> AnalysisReport:
 
 
 def emit_report(report: AnalysisReport) -> bytes:
-    """Canonical bytes of a report (stable across runs and platforms)."""
-    return (canonical_json(to_document(report)) + "\n").encode("ascii")
+    """Canonical bytes of a report (stable across runs and platforms).
+
+    The report's fixed, key-sorted layout is written in one pass, each value
+    by the :func:`canonical_json` rules at its depth, so a loaded report with
+    odd values re-emits byte for byte and a non-finite number is refused.
+    """
+    stats = report.statistics
+    interference = report.interference
+    components = report.amplitude_components
+    components = "null" if components is None else _rows([list(p) for p in components], 2)
+    return (
+        "{\n"
+        '  "amplitudes": {\n'
+        f'    "components": {components},\n'
+        f'    "regime": {_leaf(report.regime, 2)}\n'
+        "  },\n"
+        f'  "born_residual": {_leaf(report.born_residual, 1)},\n'
+        f'  "contextually_sensitive": {_leaf(report.contextually_sensitive, 1)},\n'
+        f'  "input_digest": {_leaf(report.input_digest, 1)},\n'
+        '  "interference": {\n'
+        f'    "classify_tolerance": {_leaf(interference.classify_tolerance, 2)},\n'
+        f'    "entries": {_entries(interference.entries)}\n'
+        "  },\n"
+        f'  "schema": {REPORT_SCHEMA},\n'
+        f'  "seed": {_leaf(report.seed, 1)},\n'
+        '  "statistics": {\n'
+        f'    "outcome_labels": {_encode(list(stats.outcome_labels), 2)},\n'
+        f'    "outcome_marginals": {_floats(stats.outcome_marginals.tolist(), 2)},\n'
+        f'    "selector_labels": {_encode(list(stats.selector_labels), 2)},\n'
+        f'    "selector_marginals": {_floats(stats.selector_marginals.tolist(), 2)},\n'
+        f'    "transition": {_rows(stats.transition.tolist(), 2)}\n'
+        "  },\n"
+        '  "tool": {\n'
+        f'    "name": "{TOOL_NAME}",\n'
+        f'    "version": {_leaf(report.tool_version, 2)}\n'
+        "  }\n"
+        "}\n"
+    ).encode("ascii")
+
+
+def _entries(entries) -> str:
+    """``interference.entries``: one object per outcome, at depth 2."""
+    if not entries:
+        return "[]"
+    return "[\n" + ",\n".join([_entry(entry) for entry in entries]) + "\n    ]"
+
+
+def _entry(entry: OutcomeInterference) -> str:
+    return (
+        "      {\n"
+        f'        "branches": {_floats(list(entry.branches), 4)},\n'
+        f'        "classification": {_leaf(entry.classification.value, 4)},\n'
+        f'        "coefficient": {_leaf(entry.coefficient, 4)},\n'
+        f'        "observed": {_leaf(entry.observed, 4)},\n'
+        f'        "outcome": {_leaf(entry.outcome, 4)},\n'
+        f'        "phase": {_leaf(entry.phase, 4)},\n'
+        f'        "sign": {_leaf(entry.sign, 4)}\n'
+        "      }"
+    )
+
+
+def _leaf(value: Any, level: int) -> str:
+    """One value of the report layout; a finite float is formatted directly."""
+    if type(value) is float and math.isfinite(value):
+        return format(value, ".17g")
+    return _encode(value, level)
+
+
+def _floats(values: list, level: int) -> str:
+    """A list of finite floats joined in one step; any other list by ``_encode``."""
+    # Any NaN or infinity makes the sum non-finite; so may an overflow, which
+    # _encode then writes as it would anyway.
+    if all(type(v) is float for v in values) and math.isfinite(sum(values)):
+        return "[" + ", ".join([format(v, ".17g") for v in values]) + "]"
+    return _encode(values, level)
+
+
+def _rows(rows: list, level: int) -> str:
+    """A list of float lists, one row per line; anything else by ``_encode``."""
+    if not rows or not all(type(row) is list for row in rows):
+        return _encode(rows, level)
+    inner = _INDENT * (level + 1)
+    parts = [inner + _floats(row, level + 1) for row in rows]
+    return "[\n" + ",\n".join(parts) + "\n" + _INDENT * level + "]"
 
 
 def load_report(data: bytes | str) -> AnalysisReport:
@@ -269,7 +302,7 @@ def _encode(value: Any, level: int) -> str:
         return _encode_array(value, level)
     if value is None:
         return "null"
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))

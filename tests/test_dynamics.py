@@ -591,6 +591,12 @@ class TestSensitivity:
         # prediction through branches is 0.6 for 'up', direct marginal is 0.5
         assert is_contextually_sensitive(stats)
 
+    @pytest.mark.parametrize("tolerance", [np.float64(1e-9), np.float32(0.5)])
+    def test_numpy_tolerance_gives_a_python_bool(self, tolerance):
+        space, selector, outcome, context, kernel = two_point_model()
+        stats = contextual_statistics(space, context, selector, outcome, kernel)
+        assert type(is_contextually_sensitive(stats, tolerance)) is bool
+
     def test_consistent_statistics_not_flagged(self):
         sel = np.array([0.4, 0.6])
         t = np.array([[0.7, 0.3], [0.2, 0.8]])

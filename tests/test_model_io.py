@@ -360,6 +360,57 @@ class TestLoadModel:
             f"variables.path[2]: values must be strings or numbers, got {shown}"
         )
 
+    HUGE = list(range(100_000))
+    LONG_NAME = "s" * 200_000
+    SHORT_HUGE = "[0, 1, 2, 3, 4, 5, ...]"
+    SHORT_NAME = "'ssssssssssss...sssssssssssss'"
+    VARIABLES = {"path": ["left", "left", "right", "right"], "screen": ["up", "down", "up", "down"]}
+
+    @pytest.mark.parametrize(
+        "fields, path, message",
+        [
+            pytest.param(
+                {"variables": VARIABLES | {"screen": [HUGE, "down", "up", "down"]}},
+                "variables.screen[0]",
+                f"values must be strings or numbers, got {SHORT_HUGE}",
+                id="variable-value",
+            ),
+            pytest.param(
+                {"selector": LONG_NAME}, "selector", f"no variable named {SHORT_NAME}", id="name"
+            ),
+            pytest.param(
+                {"variables": VARIABLES | {LONG_NAME: ["a", "b", "c", "a"]}, "outcome": LONG_NAME},
+                "outcome",
+                f"variable {SHORT_NAME} must take exactly 2 values, found 3",
+                id="arity",
+            ),
+            pytest.param(
+                {"context": [HUGE, 1, 2, 3]},
+                "context[0]",
+                f"expected an integer, got {SHORT_HUGE}",
+                id="context",
+            ),
+            pytest.param(
+                {"weights": [HUGE, 0.2, 0.3, 0.4]},
+                "weights[0]",
+                f"expected a number, got {SHORT_HUGE}",
+                id="weights",
+            ),
+            pytest.param(
+                {"kernel": identity_kernel((1, 1, [0.5] * 100_000))},
+                "kernel.row[1][1]",
+                "expected a number, got [0.5, 0.5, 0.5, 0.5, 0.5, 0.5, ...]",
+                id="kernel",
+            ),
+        ],
+    )
+    def test_a_huge_bad_value_is_shown_shortened(self, fields, path, message):
+        with pytest.raises(InvariantViolation) as info:
+            load_model(json.dumps(model_document(**fields)))
+        assert info.value.path == path
+        assert str(info.value) == f"{path}: {message}"
+        assert len(str(info.value)) < 120
+
     def test_unprintable_key_is_quoted_in_the_path(self):
         doc = model_document(options={"se\ned": 1})
         doc["a\u2028b"] = 1
@@ -996,6 +1047,9 @@ class TestCanonicalJson:
     def test_numpy_scalars_are_plain_numbers(self):
         assert canonical_json(np.float64(0.5)) == "0.5"
         assert canonical_json(np.int64(3)) == "3"
+
+    def test_numpy_bools_are_booleans(self):
+        assert canonical_json({"a": np.True_, "b": np.False_}) == '{\n  "a": true,\n  "b": false\n}'
 
     def test_non_finite_is_rejected(self):
         with pytest.raises(InvariantViolation):

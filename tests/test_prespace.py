@@ -487,6 +487,12 @@ class TestFiber:
         with pytest.raises(UnknownValue, match=r"is not in the support$"):
             distribution.mass((3, np.array([4])))
 
+    def test_a_huge_unknown_value_is_shown_shortened(self):
+        v = RandomVariable("v", [1, 2, 1])
+        with pytest.raises(UnknownValue) as info:
+            v.value_index(tuple(range(100_000)))
+        assert str(info.value) == "(0, 1, 2, 3, 4, 5, ...) is not a value of variable 'v'"
+
     def test_fibers_partition_the_space(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
