@@ -141,7 +141,7 @@ def load_model(data: bytes | str) -> ExperimentModel:
             _fail(_key(key), "unknown key in model document")
     schema = doc.get("schema")
     if type(schema) is not int or schema != SCHEMA_VERSION:
-        _fail("schema", f"expected schema {SCHEMA_VERSION}, got {schema!r}")
+        _fail("schema", f"expected schema {SCHEMA_VERSION}, got {_shown(schema)}")
 
     weights = doc.get("weights")
     if not isinstance(weights, list) or not weights:

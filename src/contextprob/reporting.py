@@ -38,6 +38,7 @@ from .interference import (
     analyze_interference,
 )
 from .model_io import AnalysisOptions, ExperimentModel, _text, _unique_keys
+from .prespace import _shown
 
 TOOL_NAME = "contextprob"
 REPORT_SCHEMA = 1
@@ -126,7 +127,7 @@ def from_document(doc: Mapping[str, Any]) -> AnalysisReport:
     schema = doc.get("schema")
     if type(schema) is not int or schema != REPORT_SCHEMA:
         raise InvariantViolation(
-            f"expected report schema {REPORT_SCHEMA}, got {schema!r}",
+            f"expected report schema {REPORT_SCHEMA}, got {_shown(schema)}",
             path="schema",
         )
     try:
@@ -183,32 +184,33 @@ def emit_report(report: AnalysisReport) -> bytes:
     stats = report.statistics
     interference = report.interference
     components = report.amplitude_components
-    components = "null" if components is None else _rows([list(p) for p in components], 2)
+    if components is not None:
+        components = [list(pair) for pair in components]
     return (
         "{\n"
         '  "amplitudes": {\n'
-        f'    "components": {components},\n'
-        f'    "regime": {_leaf(report.regime, 2)}\n'
+        f'    "components": {_encode(components, 2)},\n'
+        f'    "regime": {_encode(report.regime, 2)}\n'
         "  },\n"
-        f'  "born_residual": {_leaf(report.born_residual, 1)},\n'
-        f'  "contextually_sensitive": {_leaf(report.contextually_sensitive, 1)},\n'
-        f'  "input_digest": {_leaf(report.input_digest, 1)},\n'
+        f'  "born_residual": {_encode(report.born_residual, 1)},\n'
+        f'  "contextually_sensitive": {_encode(report.contextually_sensitive, 1)},\n'
+        f'  "input_digest": {_encode(report.input_digest, 1)},\n'
         '  "interference": {\n'
-        f'    "classify_tolerance": {_leaf(interference.classify_tolerance, 2)},\n'
+        f'    "classify_tolerance": {_encode(interference.classify_tolerance, 2)},\n'
         f'    "entries": {_entries(interference.entries)}\n'
         "  },\n"
         f'  "schema": {REPORT_SCHEMA},\n'
-        f'  "seed": {_leaf(report.seed, 1)},\n'
+        f'  "seed": {_encode(report.seed, 1)},\n'
         '  "statistics": {\n'
         f'    "outcome_labels": {_encode(list(stats.outcome_labels), 2)},\n'
-        f'    "outcome_marginals": {_floats(stats.outcome_marginals.tolist(), 2)},\n'
+        f'    "outcome_marginals": {_encode(stats.outcome_marginals.tolist(), 2)},\n'
         f'    "selector_labels": {_encode(list(stats.selector_labels), 2)},\n'
-        f'    "selector_marginals": {_floats(stats.selector_marginals.tolist(), 2)},\n'
-        f'    "transition": {_rows(stats.transition.tolist(), 2)}\n'
+        f'    "selector_marginals": {_encode(stats.selector_marginals.tolist(), 2)},\n'
+        f'    "transition": {_encode(stats.transition.tolist(), 2)}\n'
         "  },\n"
         '  "tool": {\n'
         f'    "name": "{TOOL_NAME}",\n'
-        f'    "version": {_leaf(report.tool_version, 2)}\n'
+        f'    "version": {_encode(report.tool_version, 2)}\n'
         "  }\n"
         "}\n"
     ).encode("ascii")
@@ -224,40 +226,15 @@ def _entries(entries) -> str:
 def _entry(entry: OutcomeInterference) -> str:
     return (
         "      {\n"
-        f'        "branches": {_floats(list(entry.branches), 4)},\n'
-        f'        "classification": {_leaf(entry.classification.value, 4)},\n'
-        f'        "coefficient": {_leaf(entry.coefficient, 4)},\n'
-        f'        "observed": {_leaf(entry.observed, 4)},\n'
-        f'        "outcome": {_leaf(entry.outcome, 4)},\n'
-        f'        "phase": {_leaf(entry.phase, 4)},\n'
-        f'        "sign": {_leaf(entry.sign, 4)}\n'
+        f'        "branches": {_encode(list(entry.branches), 4)},\n'
+        f'        "classification": {_encode(entry.classification.value, 4)},\n'
+        f'        "coefficient": {_encode(entry.coefficient, 4)},\n'
+        f'        "observed": {_encode(entry.observed, 4)},\n'
+        f'        "outcome": {_encode(entry.outcome, 4)},\n'
+        f'        "phase": {_encode(entry.phase, 4)},\n'
+        f'        "sign": {_encode(entry.sign, 4)}\n'
         "      }"
     )
-
-
-def _leaf(value: Any, level: int) -> str:
-    """One value of the report layout; a finite float is formatted directly."""
-    if type(value) is float and math.isfinite(value):
-        return format(value, ".17g")
-    return _encode(value, level)
-
-
-def _floats(values: list, level: int) -> str:
-    """A list of finite floats joined in one step; any other list by ``_encode``."""
-    # Any NaN or infinity makes the sum non-finite; so may an overflow, which
-    # _encode then writes as it would anyway.
-    if all(type(v) is float for v in values) and math.isfinite(sum(values)):
-        return "[" + ", ".join([format(v, ".17g") for v in values]) + "]"
-    return _encode(values, level)
-
-
-def _rows(rows: list, level: int) -> str:
-    """A list of float lists, one row per line; anything else by ``_encode``."""
-    if not rows or not all(type(row) is list for row in rows):
-        return _encode(rows, level)
-    inner = _INDENT * (level + 1)
-    parts = [inner + _floats(row, level + 1) for row in rows]
-    return "[\n" + ",\n".join(parts) + "\n" + _INDENT * level + "]"
 
 
 def load_report(data: bytes | str) -> AnalysisReport:
@@ -271,7 +248,7 @@ def load_report(data: bytes | str) -> AnalysisReport:
 
 
 _INDENT = "  "
-_SCALARS = (type(None), bool, int, float, str)
+_SCALARS = (float, str, int, bool, type(None), np.integer, np.bool_)
 
 
 def canonical_json(value: Any) -> str:
@@ -291,9 +268,10 @@ def _format_float(value: float) -> str:
 
 def _encode(value: Any, level: int) -> str:
     # Exact types first: a report is almost all floats, strings, dicts, lists.
+    # A non-finite float falls through to _format_float, which refuses it.
     kind = type(value)
-    if kind is float:
-        return _format_float(value)
+    if kind is float and math.isfinite(value):
+        return format(value, ".17g")
     if kind is str:
         return encode_basestring_ascii(value)
     if kind is dict:

@@ -370,6 +370,9 @@ class TestLoadModel:
         "fields, path, message",
         [
             pytest.param(
+                {"schema": HUGE}, "schema", f"expected schema 1, got {SHORT_HUGE}", id="schema"
+            ),
+            pytest.param(
                 {"variables": VARIABLES | {"screen": [HUGE, "down", "up", "down"]}},
                 "variables.screen[0]",
                 f"values must be strings or numbers, got {SHORT_HUGE}",
@@ -934,6 +937,14 @@ class TestReportSerialization:
         with pytest.raises(InvariantViolation, match=re.escape(f"got {schema!r}")):
             load_report(json.dumps(doc))
 
+    def test_load_report_shortens_a_huge_schema(self):
+        doc = json.loads(emit_report(analyze_statistics(ingest_contingency_table(TABLE))))
+        doc["schema"] = list(range(100_000))
+        with pytest.raises(InvariantViolation) as info:
+            load_report(json.dumps(doc))
+        assert info.value.path == "schema"
+        assert str(info.value) == "schema: expected report schema 1, got [0, 1, 2, 3, 4, 5, ...]"
+
     def test_load_report_rejects_a_repeated_key(self):
         data = emit_report(analyze_statistics(ingest_contingency_table(TABLE), seed=4))
         assert data.count(b'"seed": 4') == 1
@@ -954,7 +965,7 @@ def _reference_encode(value, level):
     """The canonical encoder written plainly: isinstance checks and json.dumps."""
     if value is None:
         return "null"
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -979,7 +990,8 @@ def _reference_encode(value, level):
         items = list(value)
         if not items:
             return "[]"
-        if all(isinstance(item, (type(None), bool, int, float, str)) for item in items):
+        scalars = (type(None), bool, np.bool_, int, np.integer, float, str)
+        if all(isinstance(item, scalars) for item in items):
             return "[" + ", ".join(_reference_encode(item, level) for item in items) + "]"
         inner = "  " * (level + 1)
         parts = [f"{inner}{_reference_encode(item, level + 1)}" for item in items]
@@ -1004,6 +1016,7 @@ _scalars = st.one_of(
     st.text(),
     st.floats().map(np.float64),
     st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
     st.just({1, 2}),  # not serializable
 )
 _json_like = st.recursive(
@@ -1047,9 +1060,11 @@ class TestCanonicalJson:
     def test_numpy_scalars_are_plain_numbers(self):
         assert canonical_json(np.float64(0.5)) == "0.5"
         assert canonical_json(np.int64(3)) == "3"
+        assert canonical_json([np.int64(1), np.int32(2)]) == "[1, 2]"
 
     def test_numpy_bools_are_booleans(self):
         assert canonical_json({"a": np.True_, "b": np.False_}) == '{\n  "a": true,\n  "b": false\n}'
+        assert canonical_json([np.True_, np.False_, None]) == "[true, false, null]"
 
     def test_non_finite_is_rejected(self):
         with pytest.raises(InvariantViolation):

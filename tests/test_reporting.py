@@ -202,6 +202,7 @@ def test_loaded_reports_with_odd_fields_match_the_reference(doc):
         (("interference", "entries"), []),
         (("seed",), {"b": [1.5, None], "a": {}}),
         (("amplitudes", "components"), [[1, 2], [], ["x", None]]),
+        (("interference", "entries", 0, "branches"), [0.5, [1, {"a": [2]}]]),
     ],
 )
 def test_odd_field_re_emits_byte_for_byte(field, value):
@@ -243,3 +244,18 @@ def test_numpy_sensitivity_tolerance_gives_a_report():
     )
     assert type(report.contextually_sensitive) is bool
     assert b'"contextually_sensitive": true' in emit_report(report)
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        ((np.True_, np.False_), ("x", "y")),
+        ((np.int64(1), np.int64(2)), (np.int32(7), np.int32(8))),
+    ],
+    ids=["numpy-bool", "numpy-int"],
+)
+def test_numpy_labels_re_emit_byte_for_byte(labels):
+    report = analyze_statistics(two_by_two(labels, q=0.75, t1=0.9, t2=0.9), seed=1)
+    data = emit_report(report)
+    assert data == reference_emit(report)
+    assert emit_report(load_report(data)) == data
