@@ -121,19 +121,23 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise ValueError(f"duplicate key {key!r}")
+            raise ValueError(f"duplicate key {_shown(key)}")
         obj[key] = value
     return obj
 
 
-def load_model(data: bytes | str) -> ExperimentModel:
-    """Parse and validate a JSON model document."""
-    text = _text(data)
+def _json_document(data: bytes | str) -> Any:
+    """A model or report document parsed; its text is dropped on return."""
+    text = _text(data)  # outside the try: bad UTF-8 is not reworded as bad JSON
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:  # also nesting too deep, or an over-long integer
         raise InvariantViolation(f"not valid JSON: {exc}") from None
-    del text  # held no longer than the parse: it is as large as the document
+
+
+def load_model(data: bytes | str) -> ExperimentModel:
+    """Parse and validate a JSON model document."""
+    doc = _json_document(data)
     if not isinstance(doc, dict):
         _fail("$", "model document must be a JSON object")
     for key in doc:

@@ -24,7 +24,6 @@ import math
 import numbers
 import operator
 import reprlib
-import sys
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
@@ -180,8 +179,8 @@ def _check_weights(w: np.ndarray, n: int) -> None:
 class _AutoNames(collections.abc.Sequence):
     """The names ``("p1", ..., "pN")`` of an auto-named space, each made when read.
 
-    Equal to that tuple both ways, with its hash, length, indexing, slicing,
-    ``in``, ``count`` and ``index``; ``index`` parses ``"p<k>"`` without a scan.
+    Equal to that tuple both ways, with its hash, length, indexing and slicing;
+    ``in``, ``count`` and ``index`` scan the names, as a tuple's do.
     """
 
     __slots__ = ("_n",)
@@ -197,33 +196,9 @@ class _AutoNames(collections.abc.Sequence):
             return tuple(f"p{k + 1}" for k in range(self._n)[i])
         return f"p{range(self._n)[i] + 1}"  # the range refuses an index as a tuple would
 
-    def __iter__(self):
-        return (f"p{k}" for k in range(1, self._n + 1))
-
-    def index(self, value, start: int = 0, stop: int = sys.maxsize) -> int:
-        digits = value[1:] if isinstance(value, str) and value[:1] == "p" else ""
-        # int() reads any decimal digits; only the name it parses back to is one
-        if digits.isdecimal() and len(digits) <= len(str(self._n)):
-            i = int(digits) - 1
-            if value == f"p{i + 1}" and i in range(self._n)[start:stop]:
-                return i
-        raise ValueError(f"{value!r} is not an auto-named point")
-
-    def __contains__(self, value) -> bool:
-        try:
-            self.index(value)
-        except ValueError:
-            return False
-        return True
-
-    def count(self, value) -> int:
-        return int(value in self)
-
     def __eq__(self, other):
-        if isinstance(other, _AutoNames):
-            return self._n == other._n
-        if isinstance(other, tuple):
-            return len(other) == self._n and other == tuple(self)
+        if isinstance(other, (_AutoNames, tuple)):
+            return tuple(self) == tuple(other)
         return NotImplemented
 
     def __hash__(self):
@@ -231,9 +206,6 @@ class _AutoNames(collections.abc.Sequence):
 
     def __repr__(self):
         return repr(tuple(self))
-
-    def __reduce__(self):
-        return _AutoNames, (self._n,)
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,7 +10,6 @@ produces the same bytes, and emit(load(emit(r))) is byte-identical.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -37,7 +36,7 @@ from .interference import (
     OutcomeInterference,
     analyze_interference,
 )
-from .model_io import AnalysisOptions, ExperimentModel, _text, _unique_keys
+from .model_io import AnalysisOptions, ExperimentModel, _json_document
 from .prespace import _shown
 
 TOOL_NAME = "contextprob"
@@ -239,12 +238,7 @@ def _entry(entry: OutcomeInterference) -> str:
 
 def load_report(data: bytes | str) -> AnalysisReport:
     """Inverse of :func:`emit_report`."""
-    text = _text(data)
-    try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
-    except (ValueError, RecursionError) as exc:  # also nesting too deep, or an over-long integer
-        raise InvariantViolation(f"not valid JSON: {exc}") from None
-    return from_document(doc)
+    return from_document(_json_document(data))
 
 
 _INDENT = "  "
@@ -263,7 +257,7 @@ def canonical_json(value: Any) -> str:
 def _format_float(value: float) -> str:
     if not math.isfinite(value):
         raise InvariantViolation(f"cannot serialize non-finite number {value!r}")
-    return format(value, ".17g")
+    return format(value + 0.0, ".17g")  # -0.0 + 0.0 is 0.0: a zero is written 0
 
 
 def _encode(value: Any, level: int) -> str:
@@ -271,7 +265,7 @@ def _encode(value: Any, level: int) -> str:
     # A non-finite float falls through to _format_float, which refuses it.
     kind = type(value)
     if kind is float and math.isfinite(value):
-        return format(value, ".17g")
+        return format(value + 0.0, ".17g")
     if kind is str:
         return encode_basestring_ascii(value)
     if kind is dict:

@@ -24,6 +24,7 @@ from contextprob import (
     load_model,
     load_report,
 )
+from contextprob.prespace import _AutoNames
 
 from synth import (
     coefficients,
@@ -247,6 +248,14 @@ class TestLoadModel:
     def test_deep_nesting_is_invalid_json(self, load, text):
         with pytest.raises(InvariantViolation, match="^not valid JSON: maximum recursion depth"):
             load(text)
+
+    @pytest.mark.parametrize("load", [load_model, load_report])
+    def test_a_repeated_long_key_is_shown_shortened(self, load):
+        key = "k" * 200_000
+        with pytest.raises(InvariantViolation) as info:
+            load(f'{{"{key}": 1, "{key}": 2}}')
+        assert str(info.value).startswith("not valid JSON: duplicate key 'kkkk")
+        assert len(str(info.value)) < 120
 
     def test_top_level_must_be_an_object(self):
         with pytest.raises(InvariantViolation) as info:
@@ -543,6 +552,25 @@ class TestLoadModel:
         load_model(raw)  # the first call also allocates one-off state
         # Point names and a set of context members would each add a Python object per point.
         assert peak(load_model) <= 1.2 * peak(lambda raw: json.loads(raw.decode()))
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            pytest.param(kernel_free_model(50), id="kernel-free"),
+            pytest.param(json.dumps(uniform_model(50, np.eye(50).tolist())), id="kernel"),
+        ],
+    )
+    def test_analysing_an_auto_named_model_makes_no_point_name(self, raw, monkeypatch):
+        expected = emit_report(analyze_model(load_model(raw)))
+
+        def refuse(*args):
+            raise AssertionError("a point name was made")
+
+        for method in ("__getitem__", "__iter__"):
+            monkeypatch.setattr(_AutoNames, method, refuse)
+        model = load_model(raw)
+        assert type(model.prespace.points) is _AutoNames
+        assert emit_report(analyze_model(model)) == expected
 
     @given(st.integers(2, 12), st.data())
     @settings(max_examples=100, deadline=None)
@@ -906,6 +934,14 @@ class TestReportSerialization:
             second = emit_report(load_report(first))
             assert first == second
 
+    def test_a_negative_zero_is_written_as_zero(self):
+        report = analyze_statistics(
+            ContextualStatistics(("a", "b"), ("x", "y"), (0.5, 0.5), (0.5, 0.5), [[1.0, -0.0], [0.0, 1.0]])
+        )
+        first = emit_report(report)
+        assert b"-0," not in first and b"-0]" not in first and b"-0\n" not in first
+        assert emit_report(load_report(first)) == first
+
     def test_emitted_form_is_ascii_with_trailing_newline(self):
         data = emit_report(analyze_statistics(ingest_contingency_table(TABLE)))
         assert data.endswith(b"\n") and not data.endswith(b"\n\n")
@@ -973,7 +1009,7 @@ def _reference_encode(value, level):
         value = float(value)
         if not math.isfinite(value):
             raise InvariantViolation(f"cannot serialize non-finite number {value!r}")
-        return format(value, ".17g")
+        return format(value + 0.0, ".17g")  # a negative zero is written 0
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, Mapping):
@@ -1040,7 +1076,7 @@ class TestCanonicalJson:
     def test_integral_floats_collapse(self):
         # 1.0 emits as "1"; reloading yields int(1), which emits identically
         assert canonical_json(1.0) == "1"
-        assert canonical_json(-0.0) == "-0"
+        assert canonical_json(-0.0) == "0"
 
     def test_keys_are_sorted(self):
         assert canonical_json({"b": 1, "a": 2}) == '{\n  "a": 2,\n  "b": 1\n}'
