@@ -24,7 +24,6 @@ from .prespace import (
     Distribution,
     Prespace,
     RandomVariable,
-    compression_ratio,
     conditional_distribution,
     context_probability,
     expectation_and_dispersion,
@@ -114,7 +113,6 @@ __all__ = [
     "branch_probabilities",
     "canonical_json",
     "classify",
-    "compression_ratio",
     "conditional_distribution",
     "context_probability",
     "contextual_statistics",

@@ -462,12 +462,6 @@ def fiber(space: Prespace, variable: RandomVariable, value: Hashable) -> Context
     return _built(Context, indices=np.flatnonzero(variable.codes == code))
 
 
-def compression_ratio(space: Prespace, variable: RandomVariable) -> float:
-    """Point count divided by alphabet size; how much the variable coarsens."""
-    _check_variable(space, variable)
-    return space.size / len(variable.alphabet)
-
-
 def filter_context(
     space: Prespace,
     context: Context,

@@ -6,14 +6,23 @@ amplitudes when the regime allows it, and check the Born rule.  Reports
 serialize to a canonical JSON form: keys sorted, floats at 17 significant
 digits, two-space indentation, trailing newline.  The same report always
 produces the same bytes, and emit(load(emit(r))) is byte-identical.
+
+``load_report`` reads only a report's inputs, its statistics,
+``classify_tolerance`` (finite, not negative), ``input_digest`` and ``seed``,
+and analyses them again; ``contextually_sensitive`` and ``tool.version``,
+which no stored input gives, are read as a bool and a string.  A document
+that differs from that report in any key, value or type (``1`` is not
+``true``; ``1.0`` is ``1``) is refused at its first differing path.
 """
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
-from typing import Any, Mapping
+from typing import Any, Hashable, Mapping
 
 import numpy as np
 
@@ -31,12 +40,11 @@ from .dynamics import (
 )
 from .errors import InvariantViolation
 from .interference import (
-    Classification,
     InterferenceReport,
     OutcomeInterference,
     analyze_interference,
 )
-from .model_io import AnalysisOptions, ExperimentModel, _json_document
+from .model_io import AnalysisOptions, ExperimentModel, _json_document, _key
 from .prespace import _shown
 
 TOOL_NAME = "contextprob"
@@ -119,66 +127,12 @@ def analyze_model(
     )
 
 
-def from_document(doc: Mapping[str, Any]) -> AnalysisReport:
-    """Rebuild a typed report from parsed canonical JSON."""
-    if not isinstance(doc, Mapping):
-        raise InvariantViolation("report document must be a JSON object")
-    schema = doc.get("schema")
-    if type(schema) is not int or schema != REPORT_SCHEMA:
-        raise InvariantViolation(
-            f"expected report schema {REPORT_SCHEMA}, got {_shown(schema)}",
-            path="schema",
-        )
-    try:
-        stats_doc = doc["statistics"]
-        statistics = ContextualStatistics(
-            selector_labels=stats_doc["selector_labels"],
-            outcome_labels=stats_doc["outcome_labels"],
-            selector_marginals=stats_doc["selector_marginals"],
-            outcome_marginals=stats_doc["outcome_marginals"],
-            transition=stats_doc["transition"],
-        )
-        entries = tuple(
-            OutcomeInterference(
-                outcome=entry["outcome"],
-                observed=entry["observed"],
-                branches=tuple(entry["branches"]),
-                coefficient=entry["coefficient"],
-                classification=Classification(entry["classification"]),
-                phase=entry["phase"],
-                sign=entry["sign"],
-            )
-            for entry in doc["interference"]["entries"]
-        )
-        interference = InterferenceReport(
-            entries=entries,
-            classify_tolerance=doc["interference"]["classify_tolerance"],
-        )
-        amplitudes = doc["amplitudes"]
-        components = amplitudes["components"]
-        if components is not None:
-            components = tuple(tuple(pair) for pair in components)
-        return AnalysisReport(
-            statistics=statistics,
-            interference=interference,
-            regime=amplitudes["regime"],
-            amplitude_components=components,
-            born_residual=doc["born_residual"],
-            contextually_sensitive=doc["contextually_sensitive"],
-            input_digest=doc["input_digest"],
-            seed=doc["seed"],
-            tool_version=doc["tool"]["version"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvariantViolation(f"malformed report document: {exc!r}") from exc
-
-
 def emit_report(report: AnalysisReport) -> bytes:
     """Canonical bytes of a report (stable across runs and platforms).
 
     The report's fixed, key-sorted layout is written in one pass, each value
-    by the :func:`canonical_json` rules at its depth, so a loaded report with
-    odd values re-emits byte for byte and a non-finite number is refused.
+    by the :func:`canonical_json` rules at its depth; a non-finite number is
+    refused.
     """
     stats = report.statistics
     interference = report.interference
@@ -237,8 +191,65 @@ def _entry(entry: OutcomeInterference) -> str:
 
 
 def load_report(data: bytes | str) -> AnalysisReport:
-    """Inverse of :func:`emit_report`."""
-    return from_document(_json_document(data))
+    """Inverse of :func:`emit_report`; the module docstring says what it checks."""
+    doc = _json_document(data)
+    if not isinstance(doc, dict):
+        raise InvariantViolation("report document must be a JSON object")
+    schema = doc.get("schema")
+    if type(schema) is not int or schema != REPORT_SCHEMA:
+        raise InvariantViolation(
+            f"expected report schema {REPORT_SCHEMA}, got {_shown(schema)}",
+            path="schema",
+        )
+    try:
+        statistics = ContextualStatistics(**{
+            key: _label(value) if key.endswith("_labels") else value
+            for key, value in doc["statistics"].items()
+        })
+        tolerance = doc["interference"]["classify_tolerance"]
+        digest, seed = doc["input_digest"], doc["seed"]
+        sensitive, version = doc["contextually_sensitive"], doc["tool"]["version"]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InvariantViolation(f"malformed report document: {exc!r}") from exc
+    # zero is allowed: the trigonometric band then ends at exactly 1
+    if type(tolerance) not in (int, float) or not 0 <= tolerance <= sys.float_info.max:
+        raise InvariantViolation(
+            f"expected a finite number, not negative, got {_shown(tolerance)}",
+            path="interference.classify_tolerance",
+        )
+    # Each value is taken as its field's type; the comparison refuses one that was not.
+    report = replace(
+        analyze_statistics(
+            statistics,
+            AnalysisOptions(classify_tolerance=tolerance),
+            input_digest=None if digest is None else str(digest),
+            seed=None if seed is None else _checked_seed(seed, "seed"),
+        ),
+        contextually_sensitive=bool(sensitive),
+        tool_version=str(version),
+    )
+    _refuse_difference(doc, json.loads(emit_report(report)), "")
+    return report
+
+
+def _label(value: Any) -> Hashable:
+    """A label as read from JSON; an array is read back as a tuple, recursively."""
+    return tuple(map(_label, value)) if type(value) is list else value
+
+
+def _refuse_difference(found: Any, expected: Any, path: str) -> None:
+    """Refuse the first place, in key order, where a document differs from the expected one."""
+    if type(found) is dict and type(expected) is dict:
+        for key in sorted(found.keys() | expected.keys()):
+            where = f"{path}.{_key(key)}" if path else _key(key)
+            if key not in found or key not in expected:
+                raise InvariantViolation("unknown key" if key in found else "missing", path=where)
+            _refuse_difference(found[key], expected[key], where)
+    elif type(found) is list and type(expected) is list and len(found) == len(expected):
+        for i, pair in enumerate(zip(found, expected)):
+            _refuse_difference(*pair, f"{path}[{i}]")
+    elif found != expected or (type(found) is bool) != (type(expected) is bool):
+        raise InvariantViolation(f"expected {_shown(expected)}, got {_shown(found)}", path=path)
 
 
 _INDENT = "  "
@@ -254,15 +265,9 @@ def canonical_json(value: Any) -> str:
     return _encode(value, 0)
 
 
-def _format_float(value: float) -> str:
-    if not math.isfinite(value):
-        raise InvariantViolation(f"cannot serialize non-finite number {value!r}")
-    return format(value + 0.0, ".17g")  # -0.0 + 0.0 is 0.0: a zero is written 0
-
-
 def _encode(value: Any, level: int) -> str:
     # Exact types first: a report is almost all floats, strings, dicts, lists.
-    # A non-finite float falls through to _format_float, which refuses it.
+    # A non-finite float falls through to the float branch, which refuses it.
     kind = type(value)
     if kind is float and math.isfinite(value):
         return format(value + 0.0, ".17g")
@@ -279,7 +284,10 @@ def _encode(value: Any, level: int) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _format_float(float(value))
+        value = float(value)
+        if not math.isfinite(value):
+            raise InvariantViolation(f"cannot serialize non-finite number {value!r}")
+        return format(value + 0.0, ".17g")  # -0.0 + 0.0 is 0.0: a zero is written 0
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if isinstance(value, Mapping):

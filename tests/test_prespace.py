@@ -22,7 +22,6 @@ from contextprob import (
     RandomVariable,
     TypeMismatch,
     UnknownValue,
-    compression_ratio,
     conditional_distribution,
     context_probability,
     expectation_and_dispersion,
@@ -502,23 +501,6 @@ class TestFiber:
                 flat = [i for piece in pieces for i in piece]
                 assert sorted(flat) == list(range(space.size))
                 assert len(set(flat)) == len(flat)
-
-
-class TestCompressionRatio:
-    def test_two_to_one(self):
-        space = four_point_space()
-        v = RandomVariable("screen", ["up", "down", "up", "down"])
-        assert compression_ratio(space, v) == 2.0
-
-    def test_injective_variable_does_not_compress(self):
-        space = four_point_space()
-        v = RandomVariable("id", ["a", "b", "c", "d"])
-        assert compression_ratio(space, v) == 1.0
-
-    def test_constant_variable_compresses_fully(self):
-        space = Prespace.uniform(500)
-        v = RandomVariable("const", ["same"] * 500)
-        assert compression_ratio(space, v) == 500.0
 
 
 class TestFilterContext:

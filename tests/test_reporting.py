@@ -4,11 +4,15 @@
 reference here is the writer it replaced: build the report's plain-data
 document, then serialize it with ``canonical_json``.  Both must give the same
 bytes, or refuse with the same message, for analysed reports of every regime
-and for loaded reports whose fields hold values of unexpected types.
+and for reports whose fields hold values of unexpected types.
+
+``load_report`` analyses a document's statistics again, so a document whose
+derived fields differ from that analysis is refused at the differing path.
 """
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -140,7 +144,10 @@ def test_analysed_reports_match_the_reference(
         input_digest=input_digest,
         seed=seed,
     )
-    assert_matches_reference(report)
+    data = _outcome(emit_report, report)
+    assert data == _outcome(reference_emit, report)
+    if type(data) is bytes:  # emit -> load -> emit is a fixed point, tuple labels too
+        assert emit_report(load_report(data)) == data
 
 
 _json = st.recursive(
@@ -150,24 +157,50 @@ _json = st.recursive(
     max_leaves=8,
 )  # NaN and infinities included: json writes and reads them, the writers refuse them
 _lists = st.lists(_json, max_size=3) | st.lists(st.floats(), max_size=3)
-# where each odd value goes, and what from_document lets through there
+# odd values for each field, keyed by owner (the report, its interference, or
+# entry 0 or 1) and field name
 _FIELDS = {
-    ("amplitudes", "regime"): _json,
-    ("amplitudes", "components"): st.none() | st.lists(_lists | st.text(max_size=3), max_size=3),
-    ("born_residual",): _json,
-    ("contextually_sensitive",): _json,
-    ("input_digest",): _json,
-    ("seed",): _json,
-    ("tool", "version"): _json,
+    ("report", "regime"): _json,
+    ("report", "amplitude_components"): st.none() | st.lists(_lists | st.text(max_size=3), max_size=3),
+    ("report", "born_residual"): _json,
+    ("report", "contextually_sensitive"): _json,
+    ("report", "input_digest"): _json,
+    ("report", "seed"): _json,
+    ("report", "tool_version"): _json,
     ("interference", "classify_tolerance"): _json,
-    ("interference", "entries"): st.just([]),
-    ("interference", "entries", 0, "outcome"): _json,
-    ("interference", "entries", 0, "observed"): _json,
-    ("interference", "entries", 0, "branches"): _lists,
-    ("interference", "entries", 1, "coefficient"): _json,
-    ("interference", "entries", 1, "phase"): _json,
-    ("interference", "entries", 1, "sign"): _json,
+    ("interference", "entries"): st.just(()),
+    (0, "outcome"): _json,
+    (0, "observed"): _json,
+    (0, "branches"): _lists,
+    (1, "coefficient"): _json,
+    (1, "phase"): _json,
+    (1, "sign"): _json,
 }
+
+
+def _replaced(report, changes):
+    """``report`` with each ``(owner, name): value`` of ``changes`` set."""
+    by_owner = {"report": {}, "interference": {}, 0: {}, 1: {}}
+    for (owner, name), value in changes.items():
+        by_owner[owner][name] = value
+    entries = tuple(
+        replace(entry, **by_owner[i]) for i, entry in enumerate(report.interference.entries)
+    )
+    interference = replace(report.interference, **{"entries": entries, **by_owner["interference"]})
+    return replace(report, interference=interference, **by_owner["report"])
+
+
+@st.composite
+def _odd_reports(draw):
+    report = load_report(draw(st.sampled_from(GOLDENS)).read_bytes())
+    fields = draw(st.lists(st.sampled_from(list(_FIELDS)), min_size=1, max_size=4, unique=True))
+    return _replaced(report, {field: draw(_FIELDS[field]) for field in fields})
+
+
+@settings(max_examples=300, deadline=None)
+@given(report=_odd_reports())
+def test_reports_with_odd_fields_match_the_reference(report):
+    assert_matches_reference(report)
 
 
 def _set_field(doc, path, value):
@@ -177,59 +210,115 @@ def _set_field(doc, path, value):
     doc[last] = value
 
 
-@st.composite
-def _odd_documents(draw):
-    doc = json.loads(draw(st.sampled_from(GOLDENS)).read_bytes())
-    paths = draw(st.lists(st.sampled_from(list(_FIELDS)), min_size=1, max_size=4, unique=True))
-    for path in paths:
-        if len(path) > 2 and ("interference", "entries") in paths:
-            continue  # the entries are gone
-        _set_field(doc, path, draw(_FIELDS[path]))
-    return doc
+def _refusal(doc) -> InvariantViolation:
+    with pytest.raises(InvariantViolation) as info:
+        load_report(json.dumps(doc))  # json writes NaN and Infinity
+    return info.value
+
+
+def _leaves(value, keys=()):
+    """``(keys, value)`` of every scalar, empty list and empty object."""
+    if value and type(value) in (dict, list):
+        for key, item in value.items() if type(value) is dict else enumerate(value):
+            yield from _leaves(item, keys + (key,))
+    else:
+        yield keys, value
+
+
+def _path(keys) -> str:
+    """``("a", "b", 0, "c")`` as ``a.b[0].c``."""
+    return "".join(f"[{key}]" if type(key) is int else f".{key}" for key in keys)[1:]
+
+
+# every field that load_report derives from the statistics and the tolerance
+_DERIVED = (("amplitudes",), ("born_residual",), ("interference", "entries"))
 
 
 @settings(max_examples=300, deadline=None)
-@given(doc=_odd_documents())
-def test_loaded_reports_with_odd_fields_match_the_reference(doc):
-    assert_matches_reference(load_report(json.dumps(doc)))
+@given(data=st.data())
+def test_a_changed_derived_field_is_refused_at_its_path(data):
+    doc = json.loads(data.draw(st.sampled_from(GOLDENS)).read_bytes())
+    leaves = []
+    for root in _DERIVED:
+        value = doc
+        for key in root:
+            value = value[key]
+        leaves.extend(_leaves(value, root))
+    keys, old = data.draw(st.sampled_from(leaves))
+    # a different value: 1.0 is 1, but true is not 1
+    new = data.draw(_json.filter(lambda v: v != old or (type(v) is bool) != (type(old) is bool)))
+    _set_field(doc, keys, new)
+    assert _refusal(doc).path == _path(keys)
 
 
 @pytest.mark.parametrize(
-    "field, value",
+    "field, value, path",
     [
-        (("amplitudes", "regime"), "banana"),
-        (("born_residual",), [1, 2]),
-        (("interference", "entries"), []),
-        (("seed",), {"b": [1.5, None], "a": {}}),
-        (("amplitudes", "components"), [[1, 2], [], ["x", None]]),
-        (("interference", "entries", 0, "branches"), [0.5, [1, {"a": [2]}]]),
+        (("amplitudes", "regime"), "banana", "amplitudes.regime"),
+        (("interference", "entries", 0, "coefficient"), "oops", "interference.entries[0].coefficient"),
+        (("born_residual",), [1, 2], "born_residual"),
+        (("contextually_sensitive",), 1, "contextually_sensitive"),
+        (("input_digest",), {}, "input_digest"),
+        (("tool", "version"), 3, "tool.version"),
+        (("interference", "entries"), [], "interference.entries"),
+        (("seed",), {"b": [1.5, None], "a": {}}, "seed"),
+        (("amplitudes", "components"), [[1, 2], [], ["x", None]], "amplitudes.components"),
+        (
+            ("interference", "entries", 0, "branches"),
+            [0.5, [1, {"a": [2]}]],
+            "interference.entries[0].branches[0]",  # 0.5 is not the first branch
+        ),
+        (("interference", "entries", 1, "classification"), "hyperbolic", "interference.entries[1].classification"),
+        (("tool", "name"), "other", "tool.name"),
+        (("comment",), "hello", "comment"),
     ],
 )
-def test_odd_field_re_emits_byte_for_byte(field, value):
-    doc = json.loads(GOLDENS[0].read_bytes())
+def test_a_tampered_field_is_refused_at_its_path(field, value, path):
+    doc = json.loads((GOLDEN / "classical.report.json").read_bytes())
     _set_field(doc, field, value)
-    data = canonical_json(doc).encode("ascii") + b"\n"
-    report = load_report(data)
-    assert emit_report(report) == data == reference_emit(report)
+    assert _refusal(doc).path == path
+
+
+def test_a_missing_derived_field_is_refused_at_its_path():
+    doc = json.loads((GOLDEN / "classical.report.json").read_bytes())
+    del doc["amplitudes"]["regime"]
+    assert _refusal(doc).path == "amplitudes.regime"
 
 
 @pytest.mark.parametrize(
-    "field, value",
+    "field, value, path",
     [
-        (("born_residual",), math.nan),
-        (("interference", "classify_tolerance"), -math.inf),
-        (("interference", "entries", 0, "branches"), [0.5, math.nan]),
-        (("amplitudes", "components"), [[0.5, 0.5], [math.inf, 0.5]]),
-        (("seed",), [1, {"a": [math.nan]}]),
+        (("report", "born_residual"), math.nan, ("born_residual",)),
+        (("interference", "classify_tolerance"), -math.inf, ("interference", "classify_tolerance")),
+        ((0, "branches"), [0.5, math.nan], ("interference", "entries", 0, "branches")),
+        (("report", "amplitude_components"), [[0.5, 0.5], [math.inf, 0.5]], ("amplitudes", "components")),
+        (("report", "seed"), [1, {"a": [math.nan]}], ("seed",)),
     ],
 )
-def test_non_finite_loaded_value_is_refused(field, value):
-    doc = json.loads(GOLDENS[0].read_bytes())
-    _set_field(doc, field, value)
-    report = load_report(json.dumps(doc))  # json reads NaN and Infinity
+def test_a_non_finite_value_is_refused(field, value, path):
+    report = _replaced(load_report(GOLDENS[0].read_bytes()), {field: value})
     with pytest.raises(InvariantViolation, match="^cannot serialize non-finite number"):
         emit_report(report)
     assert _outcome(emit_report, report) == _outcome(reference_emit, report)
+    doc = json.loads(GOLDENS[0].read_bytes())
+    _set_field(doc, path, value)
+    assert _refusal(doc).path.startswith(_path(path))  # the field, or an entry in it
+
+
+@pytest.mark.parametrize("tolerance", [0, 0.0, -0.0, 0.25])
+def test_a_tolerance_of_zero_or_more_loads(tolerance):
+    report = analyze_statistics(
+        REGIMES["mixed"], options=AnalysisOptions(classify_tolerance=tolerance)
+    )
+    data = emit_report(report)
+    assert emit_report(load_report(data)) == data
+
+
+@pytest.mark.parametrize("tolerance", [-1e-9, "1e-9", True, None, 10**400])
+def test_a_tolerance_that_is_not_a_finite_non_negative_number_is_refused(tolerance):
+    doc = json.loads((GOLDEN / "classical.report.json").read_bytes())
+    doc["interference"]["classify_tolerance"] = tolerance
+    assert _refusal(doc).path == "interference.classify_tolerance"
 
 
 @pytest.mark.parametrize("golden", GOLDENS, ids=[path.name for path in GOLDENS])
@@ -259,3 +348,12 @@ def test_numpy_labels_re_emit_byte_for_byte(labels):
     data = emit_report(report)
     assert data == reference_emit(report)
     assert emit_report(load_report(data)) == data
+
+
+def test_tuple_labels_re_emit_byte_for_byte():
+    report = analyze_statistics(two_by_two(((("a", 1), ("b", ("c", ()))), ("x", ("y",)))), seed=1)
+    data = emit_report(report)
+    assert json.loads(data)["statistics"]["selector_labels"] == [["a", 1], ["b", ["c", []]]]
+    loaded = load_report(data)
+    assert loaded.statistics.selector_labels == (("a", 1), ("b", ("c", ())))
+    assert emit_report(loaded) == data
