@@ -11,6 +11,7 @@ outcome transition probabilities see the kernel.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -42,10 +43,12 @@ DEFAULT_SENSITIVITY_TOLERANCE = 1e-9
 # Samples are drawn in fixed-size chunks, each with its own child seed, so
 # the counts are the same however many CPUs count the chunks.
 SAMPLE_CHUNK = 1 << 16
-# Each worker refills its own equal share of this many draws.  Successive
-# fills continue a chunk's stream, so the share does not change the draws,
-# and no fill straddles two chunks.
+# Each worker draws its own equal share of this many raw 64-bit words at a
+# time.  Successive blocks continue a chunk's stream, so the share does not
+# change the draws, and no block straddles two chunks.
 SAMPLE_BLOCK = 1 << 14
+# One more than the largest raw word: a limit this high counts every draw.
+WORD_RANGE = 1 << 64
 # Counts are int64, so no call may ask for more draws than that holds.
 MAX_SAMPLE_COUNT = int(np.iinfo(np.int64).max)
 
@@ -307,6 +310,17 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _word_limits(bounds: np.ndarray) -> list[int]:
+    """The raw-word limit of each cumulative bound.
+
+    numpy's uniform from Philox's raw word ``r`` is ``(r >> 11) * 2**-53``,
+    so it is below bound ``b`` exactly when ``r < ceil(b * 2**53) * 2**11``.
+    The limits are clamped to ``[0, WORD_RANGE]``: 0 counts no draw and
+    ``WORD_RANGE``, which no uint64 holds, counts every draw.
+    """
+    return [min(max(math.ceil(b * 2.0**53), 0), 2**53) << 11 for b in bounds.tolist()]
+
+
 def sample_frequencies(
     space: Prespace,
     context: Context,
@@ -322,54 +336,64 @@ def sample_frequencies(
     The stream is split into fixed ``SAMPLE_CHUNK``-sized chunks, each seeded
     from its own spawn of ``seed``, so the same ``(seed, n)`` always yields
     the same counts on any machine.  Draw ``u`` lands on support value ``j``
-    when ``cumulative[j-1] <= u < cumulative[j]``.  The chunks are counted
-    by one worker per usable CPU, at most one per chunk: worker ``w`` of
-    ``W`` takes chunks ``w``, ``w + W``, ...  The caller is worker 0 and
-    the others are threads, which run in parallel because drawing and
-    comparing release the GIL.  Each worker draws into its own row of one
-    buffer of ``SAMPLE_BLOCK`` draws, allocated before any thread starts,
-    and counts each fill by one comparison pass per cumulative bound, so
-    memory is one block whatever ``n`` is and the time grows with the
-    number of support values.
+    when ``cumulative[j-1] <= u < cumulative[j]``.  Each draw is counted on
+    its raw 64-bit Philox word, never converted to ``u``: the word is below
+    the integer limit of a cumulative bound (see ``_word_limits``, computed
+    once per call) exactly when ``u`` is below the bound.  The chunks are
+    counted by one worker per usable CPU, at most one per chunk: worker
+    ``w`` of ``W`` takes chunks ``w``, ``w + W``, ...  The caller is worker
+    0 and the others are threads, which run in parallel because drawing and
+    comparing release the GIL.  Each worker draws ``SAMPLE_BLOCK / W``
+    words at a time into its slot ``blocks[w]``, which it empties before
+    drawing the next block and which keeps the last block until the call
+    returns.  It counts each block by one comparison pass per limit into
+    its row of a flag buffer allocated before any thread starts, so memory
+    is about one block whatever ``n`` is and however the threads run, and
+    the time grows with the number of support values.
     An exception in any worker is raised here once every worker has
     stopped.  The counts are unchanged from earlier versions, which placed
-    each draw by binary search, for the same ``(seed, n)``.  ``n`` may not
-    exceed the int64 count range.
+    each draw by binary search on ``u``, for the same ``(seed, n)``.  ``n``
+    may not exceed the int64 count range.
     """
     n = _checked_sample_count(n)
     seed = _checked_seed(seed)
     exact = measurement_distribution(
         space, context, variable, kernel, selector, selector_value
     )
-    bounds = np.cumsum(exact.masses)[:-1]
+    limits = _word_limits(np.cumsum(exact.masses)[:-1])
+    # the bounds rise, so the limits that no word reaches come last
+    compared = np.array([limit for limit in limits if limit < WORD_RANGE], dtype=np.uint64)
     n_chunks = -(-n // SAMPLE_CHUNK)
     workers = min(_usable_cpus(), n_chunks)
     # More than one worker means more than one chunk, so the workers'
-    # buffers together are a whole SAMPLE_BLOCK.
+    # blocks together are a whole SAMPLE_BLOCK.
     width = min(n, SAMPLE_BLOCK) // workers
-    # below[w, j] counts worker w's draws under bounds[j]; the last value
+    # below[w, j] counts worker w's draws under limits[j]; the last value
     # takes the rest of n
-    below = np.zeros((workers, len(bounds)), dtype=np.int64)
+    below = np.zeros((workers, len(limits)), dtype=np.int64)
     # row w is worker w's; allocated here, so the peak does not depend on thread timing
-    draws, flags = np.empty((workers, width)), np.empty((workers, width), dtype=bool)
+    flags = np.empty((workers, width), dtype=bool)
+    # blocks[w] keeps worker w's last block until this call returns, so the
+    # workers' blocks always overlap and the peak does not depend on timing
+    blocks: list[np.ndarray | None] = [None] * workers
     errors: list[BaseException] = []
 
     def count(w: int) -> None:
-        """Add worker ``w``'s draws under each bound into ``below[w]``."""
+        """Add worker ``w``'s draws under each limit into ``below[w]``."""
         try:
             for chunk in range(w, n_chunks, workers):
                 # the same seed as the chunk-th SeedSequence(seed).spawn(1) child
                 child = np.random.SeedSequence(seed, spawn_key=(chunk,))
-                generator = np.random.Generator(np.random.Philox(child))
+                philox = np.random.Philox(child)
                 start = chunk * SAMPLE_CHUNK
                 stop = min(n, start + SAMPLE_CHUNK)
                 for offset in range(start, stop, width):
                     size = min(width, stop - offset)
-                    uniforms = draws[w, :size]
-                    generator.random(out=uniforms)
-                    for j, bound in enumerate(bounds):
+                    blocks[w] = None  # frees the last block before the next is drawn
+                    blocks[w] = philox.random_raw(size)
+                    for j, limit in enumerate(compared):
                         below[w, j] += np.count_nonzero(
-                            np.less(uniforms, bound, out=flags[w, :size])
+                            np.less(blocks[w], limit, out=flags[w, :size])
                         )
         except BaseException as exc:
             errors.append(exc)
@@ -386,5 +410,7 @@ def sample_frequencies(
             thread.join()
     if errors:
         raise errors[0]
-    counts = np.diff(below.sum(axis=0), prepend=0, append=n)
+    totals = below.sum(axis=0)
+    totals[len(compared):] = n  # a limit of 2**64 holds every draw
+    counts = np.diff(totals, prepend=0, append=n)
     return _built(FrequencyTable, support=exact.support, counts=counts, total=n, seed=seed)

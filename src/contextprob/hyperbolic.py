@@ -46,8 +46,16 @@ class HyperbolicNumber:
         return HyperbolicNumber(self.x, -self.y)
 
     def squared_modulus(self) -> float:
-        """``z * conjugate(z)``, which is ``x**2 - y**2``; may be negative."""
-        return self.x * self.x - self.y * self.y
+        """``z * conjugate(z)``, which is ``x**2 - y**2``; may be negative.
+
+        Where the squares overflow, it is ``(x - y) * (x + y)`` instead, which
+        stays finite; elsewhere the squares are kept, so finite results do not
+        change in their last bits.
+        """
+        modulus = self.x * self.x - self.y * self.y
+        if math.isfinite(modulus):
+            return modulus
+        return (self.x - self.y) * (self.x + self.y)
 
     def __str__(self) -> str:
         return f"({self.x} {'+' if self.y >= 0 else '-'} {abs(self.y)}j)"

@@ -164,8 +164,13 @@ def analyze_interference(
 
     Outcomes with a vanishing branch probability, or with branches too small
     for the gap to give a finite coefficient, come back with the degenerate
-    classification and no coefficient, phase, or sign.
+    classification and no coefficient, phase, or sign.  A tolerance that is
+    negative or not finite is refused with :class:`InvariantViolation`.
     """
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise InvariantViolation(
+            f"classify tolerance must be finite and not negative, got {tolerance!r}"
+        )
     branches = branch_probabilities(statistics)
     entries = []
     for j, label in enumerate(statistics.outcome_labels):

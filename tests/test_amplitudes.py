@@ -91,6 +91,14 @@ class TestHyperbolicAlgebra:
         want = a.squared_modulus() * b.squared_modulus()
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
+    @pytest.mark.parametrize("x", [6.6e155, 1e160, -5e160])
+    def test_squared_modulus_survives_overflowing_squares(self, x):
+        # x * x - y * y is inf - inf here; the factored form is finite
+        assert HyperbolicNumber(x, x).squared_modulus() == 0.0
+        y = math.nextafter(x, math.inf)
+        got = HyperbolicNumber(x, y).squared_modulus()
+        assert math.isfinite(got) and got == (x - y) * (x + y)
+
     @given(theta=st.floats(-5.0, 5.0, allow_nan=False))
     @settings(max_examples=100, deadline=None)
     def test_exp_j_lies_on_the_unit_hyperbola(self, theta):

@@ -485,6 +485,34 @@ def test_overflowing_coefficient_model_exits_0(command, tmp_path, capsysbinary):
         assert report["amplitudes"]["regime"] == "degenerate"
 
 
+# x's branches are about 1e-313 and 0.44, so its amplitude components are
+# about -6.6e155 each and their squares overflow.
+OVERFLOWING_SQUARES = {
+    "schema": 1,
+    "weights": [0.0, 0.5, 0.0, 0.5],
+    "variables": {"s": ["g", "g", "h", "h"], "o": ["x", "y", "x", "y"]},
+    "selector": "s",
+    "outcome": "o",
+    "context": [0, 1, 2, 3],
+    "kernel": [
+        [2.2250738585e-313, 1.0, 0, 0],
+        [2.2250738585e-313, 1.0, 0, 0],
+        [0, 0, 0.875, 0.125],
+        [0, 0, 0.875, 0.125],
+    ],
+}
+
+
+def test_overflowing_squares_model_has_a_finite_born_residual(tmp_path, capsysbinary):
+    path = tmp_path / "squares.json"
+    path.write_text(json.dumps(OVERFLOWING_SQUARES))
+    code, out, err = run(["analyze", "--model", str(path)], capsysbinary)
+    assert (code, err) == (0, b"")
+    report = json.loads(out)
+    assert report["amplitudes"]["regime"] == "hyperbolic"
+    assert math.isfinite(report["born_residual"])
+
+
 class TestUnwritableOut:
     @pytest.mark.parametrize(
         "argv",

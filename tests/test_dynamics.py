@@ -35,7 +35,7 @@ from contextprob import (
     variable_distribution,
 )
 
-from contextprob.dynamics import SAMPLE_BLOCK, SAMPLE_CHUNK
+from contextprob.dynamics import SAMPLE_BLOCK, SAMPLE_CHUNK, WORD_RANGE, _word_limits
 
 from synth import random_kernel, random_space
 
@@ -71,6 +71,13 @@ def twenty_valued_model():
     # "v14" have zero mass
     space = Prespace.from_weights([(k % 7) / 63 for k in range(1, 21)])
     return space, RandomVariable("t", [f"v{k}" for k in range(1, 21)])
+
+
+def zero_ends_model():
+    # the first value has zero mass, so its bound is 0, and so has the last,
+    # so the bound before it is 1
+    space = Prespace(["a", "b", "c", "d"], [0.0, 0.25, 0.75, 0.0])
+    return space, RandomVariable("e", ["w", "x", "y", "z"])
 
 
 # Counts recorded from the first release of the sampler, which placed each
@@ -122,6 +129,7 @@ PINNED_COUNTS = [
                                         4161, 5149, 6174, 0, 1030, 2018, 3176, 4147, 5324, 6168]),
     (twenty_valued_model, 2024, 200003, [3107, 6331, 9483, 12550, 15941, 19005, 0, 3166, 6407, 9548,
                                          12806, 15758, 19134, 0, 3167, 6339, 9585, 12699, 15993, 18984]),
+    (zero_ends_model, 7, 200003, [0, 49819, 150184, 0]),
 ]
 
 
@@ -672,6 +680,37 @@ class TestSampleFrequencies:
         with pytest.raises(InvariantViolation, match="at most"):
             sample_frequencies(space, context, outcome, 2**63, 1)
 
+    def test_uniform_is_the_raw_word_scaled(self):
+        # the premise of counting raw words: numpy's uniform from Philox's
+        # word w is (w >> 11) * 2**-53
+        child = np.random.SeedSequence(5, spawn_key=(3,))
+        words = np.random.Philox(child).random_raw(SAMPLE_BLOCK)
+        uniforms = np.random.Generator(np.random.Philox(child)).random(SAMPLE_BLOCK)
+        np.testing.assert_array_equal(uniforms, (words >> np.uint64(11)) * 2.0**-53)
+
+    @pytest.mark.parametrize(
+        "bound, limit",
+        [
+            (0.0, 0),
+            (5e-324, 1 << 11),
+            (1e-300, 1 << 11),
+            (0.5, 1 << 63),
+            (math.nextafter(0.5, 0.0), 1 << 63),
+            (math.nextafter(0.5, 1.0), ((1 << 52) + 1) << 11),
+            (3 * 2.0**-53, 3 << 11),
+            (1 - 2.0**-53, WORD_RANGE - (1 << 11)),
+            (1.0, WORD_RANGE),
+            (math.nextafter(1.0, 2.0), WORD_RANGE),
+            (2.0, WORD_RANGE),
+        ],
+    )
+    def test_word_limit_classifies_like_the_uniform(self, bound, limit):
+        assert _word_limits(np.array([bound])) == [limit]
+        # the words either side of the limit fall where their uniforms do
+        for word in (limit - 1, limit):
+            if 0 <= word < WORD_RANGE:
+                assert (word < limit) == ((word >> 11) * 2.0**-53 < bound)
+
     @pytest.mark.parametrize(
         "model, seed, n, counts",
         PINNED_COUNTS,
@@ -830,5 +869,5 @@ class TestSampleFrequencies:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one block of float64 draws is 0.125 MB; one whole chunk would be 0.5 MB
+        # one block of 64-bit words is 0.125 MB; one whole chunk would be 0.5 MB
         assert SAMPLE_BLOCK * 8 <= peak < 0.25e6

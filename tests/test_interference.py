@@ -7,11 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from contextprob import (
+    AnalysisOptions,
     Classification,
     ContextualStatistics,
     InvariantViolation,
     NoPhase,
     analyze_interference,
+    analyze_statistics,
     branch_probabilities,
     classify,
     contextual_statistics,
@@ -160,6 +162,28 @@ class TestReport:
         assert first.coefficient == 0.5
         assert first.phase == pytest.approx(math.pi / 3, abs=1e-12)
         assert second.phase == pytest.approx(2 * math.pi / 3, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "tolerance", [-0.5, -1e-9, -math.inf, math.inf, math.nan]
+    )
+    def test_negative_or_non_finite_tolerance_is_refused(self, tolerance):
+        with pytest.raises(InvariantViolation, match="classify tolerance"):
+            analyze_interference(half_half_statistics(), tolerance)
+
+    def test_negative_tolerance_is_refused_before_a_phase_is_taken(self):
+        # the coefficient 0.8 is hyperbolic under a tolerance of -0.5, and
+        # its phase would be math.acosh(0.8), a math domain error
+        stats = ContextualStatistics(
+            ("a", "b"), ("x", "y"), (0.5, 0.5), (0.9, 0.1), [[0.5, 0.5], [0.5, 0.5]]
+        )
+        options = AnalysisOptions(classify_tolerance=-0.5)
+        with pytest.raises(InvariantViolation, match="not negative, got -0.5"):
+            analyze_statistics(stats, options)
+
+    @pytest.mark.parametrize("tolerance", [0, 0.0, -0.0, 0.25])
+    def test_zero_or_positive_tolerance_is_kept(self, tolerance):
+        report = analyze_interference(half_half_statistics(), tolerance)
+        assert report.classify_tolerance == tolerance
 
     def test_lopsided_report_is_hyperbolic(self):
         report = analyze_interference(lopsided_statistics())
