@@ -37,6 +37,7 @@ from .dynamics import (
     FrequencyTable,
     PerturbationKernel,
     apply_kernel,
+    branch_probabilities,
     contextual_statistics,
     is_contextually_sensitive,
     measurement_distribution,
@@ -48,7 +49,6 @@ from .interference import (
     InterferenceReport,
     OutcomeInterference,
     analyze_interference,
-    branch_probabilities,
     classify,
     phases,
 )

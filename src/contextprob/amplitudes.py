@@ -48,18 +48,15 @@ class HyperbolicAmplitudeVector:
 
 
 def _require_regime(report: InterferenceReport, wanted: Classification) -> None:
-    kinds = [entry.classification for entry in report.entries]
-    if any(kind is not wanted for kind in kinds):
-        raise WrongRegime(
-            f"need every outcome classified {wanted.value}, "
-            f"got {[kind.value for kind in kinds]}"
-        )
+    if report.regime != wanted.value:
+        raise WrongRegime(f"need the {wanted.value} regime, got {report.regime}")
 
 
 def trigonometric_amplitude(report: InterferenceReport) -> ComplexAmplitudeVector:
-    """Complex amplitudes for a fully trigonometric report.
+    """Complex amplitudes for a report of the trigonometric regime.
 
-    Raises :class:`WrongRegime` if any outcome is hyperbolic or degenerate.
+    Raises :class:`WrongRegime` for any other regime, including a report
+    with no entries, whose regime is mixed.
     """
     _require_regime(report, Classification.TRIGONOMETRIC)
     components = tuple(
@@ -71,10 +68,9 @@ def trigonometric_amplitude(report: InterferenceReport) -> ComplexAmplitudeVecto
 
 
 def hyperbolic_amplitude(report: InterferenceReport) -> HyperbolicAmplitudeVector:
-    """Split-complex amplitudes for a fully hyperbolic report.
+    """Split-complex amplitudes for a report of the hyperbolic regime.
 
-    Raises :class:`WrongRegime` if any outcome is trigonometric or
-    degenerate.
+    Raises :class:`WrongRegime` for any other regime.
     """
     _require_regime(report, Classification.HYPERBOLIC)
     components = tuple(
@@ -116,7 +112,7 @@ def selector_basis(
 ) -> SelectorBasis:
     """Basis vectors for the two selector values, one per transition row.
 
-    Requires a fully trigonometric report and a doubly stochastic transition
+    Requires the trigonometric regime and a doubly stochastic transition
     matrix.  The first vector is the entrywise square root of the first
     transition row; the second carries the first outcome's phase and, a half
     turn later, the phase forced on the second outcome by normalization::

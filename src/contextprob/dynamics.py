@@ -173,6 +173,25 @@ class ContextualStatistics(_Stored):
         )
 
 
+def branch_probabilities(statistics: ContextualStatistics) -> np.ndarray:
+    """Matrix of per-branch outcome probabilities.
+
+    Entry ``[i, j]`` is the probability of reaching outcome ``j`` through
+    selector value ``i``: the selector marginal times the transition entry.
+    """
+    return statistics.selector_marginals[:, np.newaxis] * statistics.transition
+
+
+def _branches_and_gap(statistics: ContextualStatistics) -> tuple[np.ndarray, np.ndarray]:
+    """The branch matrix, and each outcome's gap ``observed - branch_1 - branch_2``.
+
+    The gap is the failure of the formula of total probability: it is 0 for
+    an outcome whose directly observed marginal is the sum of its branches.
+    """
+    branches = branch_probabilities(statistics)
+    return branches, statistics.outcome_marginals - branches[0] - branches[1]
+
+
 def contextual_statistics(
     space: Prespace,
     context: Context,
@@ -209,13 +228,11 @@ def is_contextually_sensitive(
 ) -> bool:
     """Whether the two-branch total-probability prediction misses the marginals.
 
-    Compares the outcome marginals against the selector-branch combination
-    ``selector_marginals @ transition`` and reports True when the largest
-    absolute gap exceeds the tolerance.
+    Reports True when the largest absolute gap ``observed - branch_1 -
+    branch_2`` over the outcomes exceeds the tolerance.
     """
-    predicted = statistics.selector_marginals @ statistics.transition
-    gap = float(np.max(np.abs(statistics.outcome_marginals - predicted)))
-    return bool(gap > tolerance)  # a numpy tolerance would make an np.bool_
+    _, gap = _branches_and_gap(statistics)
+    return bool(float(np.max(np.abs(gap))) > tolerance)  # a numpy tolerance would make an np.bool_
 
 
 def measurement_distribution(

@@ -27,9 +27,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Hashable
 
-import numpy as np
-
-from .dynamics import ContextualStatistics
+# branch_probabilities is re-exported: callers may import it from either module
+from .dynamics import ContextualStatistics, _branches_and_gap, branch_probabilities
 from .errors import InvariantViolation, NoPhase
 
 DEFAULT_CLASSIFY_TOLERANCE = 1e-9
@@ -41,17 +40,6 @@ class Classification(str, Enum):
     TRIGONOMETRIC = "trigonometric"
     HYPERBOLIC = "hyperbolic"
     DEGENERATE = "degenerate"
-
-
-def branch_probabilities(statistics: ContextualStatistics) -> np.ndarray:
-    """Matrix of per-branch outcome probabilities.
-
-    Entry ``[i, j]`` is the probability of reaching outcome ``j`` through
-    selector value ``i``: the selector marginal times the transition entry.
-    """
-    return (
-        statistics.selector_marginals[:, np.newaxis] * statistics.transition
-    )
 
 
 def _sqrt_product(first: float, second: float) -> float:
@@ -67,10 +55,6 @@ def _sqrt_product(first: float, second: float) -> float:
     if exponent % 2:
         mantissa, exponent = 2.0 * mantissa, exponent - 1
     return math.ldexp(math.sqrt(mantissa), exponent // 2)
-
-
-def _coefficient(observed: float, first: float, second: float) -> float:
-    return (observed - first - second) / (2.0 * _sqrt_product(first, second))
 
 
 def classify(
@@ -171,14 +155,14 @@ def analyze_interference(
         raise InvariantViolation(
             f"classify tolerance must be finite and not negative, got {tolerance!r}"
         )
-    branches = branch_probabilities(statistics)
+    branches, gap = _branches_and_gap(statistics)
     entries = []
     for j, label in enumerate(statistics.outcome_labels):
         observed = float(statistics.outcome_marginals[j])
         pair = (float(branches[0, j]), float(branches[1, j]))
         coefficient = None
         if pair[0] != 0.0 and pair[1] != 0.0:
-            coefficient = _coefficient(observed, pair[0], pair[1])
+            coefficient = float(gap[j]) / (2.0 * _sqrt_product(*pair))
         if coefficient is None or not math.isfinite(coefficient):
             coefficient = phase = sign = None
             kind = Classification.DEGENERATE

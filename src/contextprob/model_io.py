@@ -24,7 +24,6 @@ from typing import Any
 import numpy as np
 
 from .dynamics import (
-    DEFAULT_SENSITIVITY_TOLERANCE,
     ContextualStatistics,
     PerturbationKernel,
     _checked_sample_count,
@@ -54,7 +53,7 @@ _MODEL_KEYS = {
     "outcome",
     "options",
 }
-_OPTION_KEYS = {"classify_tolerance", "sensitivity_tolerance", "sample_size", "seed"}
+_OPTION_KEYS = {"classify_tolerance", "sample_size", "seed"}
 # Counts, and so their sums, must stay finite as floats.
 _MAX_COUNT = sys.float_info.max
 _VALUE_TYPES = {str, int, float}
@@ -62,10 +61,10 @@ _VALUE_TYPES = {str, int, float}
 
 @dataclass(frozen=True)
 class AnalysisOptions:
-    """Tunable knobs a model document may override."""
+    """What a model document's ``options`` may set: the analysis's classify
+    tolerance, the seed a report echoes, and ``sample``'s default draws and seed."""
 
     classify_tolerance: float = DEFAULT_CLASSIFY_TOLERANCE
-    sensitivity_tolerance: float = DEFAULT_SENSITIVITY_TOLERANCE
     sample_size: int = 100_000
     seed: int = 0
 
@@ -265,15 +264,14 @@ def _load_options(raw: Any) -> AnalysisOptions:
         if key not in _OPTION_KEYS:
             _fail(f"options.{_key(key)}", "unknown option")
     fields: dict[str, Any] = {}
-    for key in ("classify_tolerance", "sensitivity_tolerance"):
-        if key in raw:
-            path = f"options.{key}"  # no "{}": the one entry below is named path
-            value = float(_checked_reals([raw[key]], "tolerance", path)[0])
-            if not math.isfinite(value):
-                _fail(path, f"tolerance must be finite, got {value!r}")
-            if value <= 0.0:
-                _fail(path, "tolerance must be positive")
-            fields[key] = value
+    if "classify_tolerance" in raw:
+        path = "options.classify_tolerance"  # no "{}": the one entry below is named path
+        value = float(_checked_reals([raw["classify_tolerance"]], "tolerance", path)[0])
+        if not math.isfinite(value):
+            _fail(path, f"tolerance must be finite, got {value!r}")
+        if value <= 0.0:
+            _fail(path, "tolerance must be positive")
+        fields["classify_tolerance"] = value
     for key, check in (("sample_size", _checked_sample_count), ("seed", _checked_seed)):
         if key in raw:
             fields[key] = check(raw[key], f"options.{key}")

@@ -9,8 +9,8 @@ produces the same bytes, and emit(load(emit(r))) is byte-identical.
 
 ``load_report`` reads only a report's inputs, its statistics,
 ``classify_tolerance`` (finite, not negative), ``input_digest`` and ``seed``,
-and analyses them again; ``contextually_sensitive`` and ``tool.version``,
-which no stored input gives, are read as a bool and a string.  A document
+and analyses them again.  Every other field comes from that analysis or is
+a constant, except ``tool.version``, which is read as a string.  A document
 that differs from that report in any key, value or type (``1`` is not
 ``true``; ``1.0`` is ``1``) is refused at its first differing path.
 """
@@ -97,9 +97,7 @@ def analyze_statistics(
         regime=regime,
         amplitude_components=components,
         born_residual=residual,
-        contextually_sensitive=is_contextually_sensitive(
-            statistics, options.sensitivity_tolerance
-        ),
+        contextually_sensitive=is_contextually_sensitive(statistics),
         input_digest=input_digest,
         seed=seed,
     )
@@ -207,8 +205,7 @@ def load_report(data: bytes | str) -> AnalysisReport:
             for key, value in doc["statistics"].items()
         })
         tolerance = doc["interference"]["classify_tolerance"]
-        digest, seed = doc["input_digest"], doc["seed"]
-        sensitive, version = doc["contextually_sensitive"], doc["tool"]["version"]
+        digest, seed, version = doc["input_digest"], doc["seed"], doc["tool"]["version"]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvariantViolation(f"malformed report document: {exc!r}") from exc
     # zero is allowed: the trigonometric band then ends at exactly 1
@@ -225,7 +222,6 @@ def load_report(data: bytes | str) -> AnalysisReport:
             input_digest=None if digest is None else str(digest),
             seed=None if seed is None else _checked_seed(seed, "seed"),
         ),
-        contextually_sensitive=bool(sensitive),
         tool_version=str(version),
     )
     _refuse_difference(doc, json.loads(emit_report(report)), "")

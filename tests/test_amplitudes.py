@@ -10,6 +10,7 @@ from contextprob import (
     ComplexAmplitudeVector,
     ContextualStatistics,
     HyperbolicNumber,
+    InterferenceReport,
     InvariantViolation,
     NotDoublyStochastic,
     WrongRegime,
@@ -132,6 +133,21 @@ class TestTrigonometricAmplitude:
         stats = lopsided_statistics()
         with pytest.raises(WrongRegime):
             trigonometric_amplitude(analyze_interference(stats))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            trigonometric_amplitude,
+            hyperbolic_amplitude,
+            lambda report: selector_basis(half_half_statistics(), report),
+        ],
+        ids=["trigonometric_amplitude", "hyperbolic_amplitude", "selector_basis"],
+    )
+    def test_rejects_a_report_without_entries(self, build):
+        report = InterferenceReport(entries=())
+        assert report.regime == "mixed"
+        with pytest.raises(WrongRegime, match=r"^need the \w+ regime, got mixed$"):
+            build(report)
 
 
 class TestHyperbolicAmplitude:

@@ -17,6 +17,15 @@ GOLDEN = EXAMPLES / "golden"
 
 MODEL_NAMES = ["classical", "perturbed", "hyperbolic"]
 TABLE_NAMES = ["interference_table", "hyperbolic_table"]
+TABLE_HEADER = "experiment,outcome_a,outcome_b,count\n"
+
+
+def _edited(name, **fields):
+    """An example model document as text, each field set to a value or mapped by a function."""
+    doc = json.loads((EXAMPLES / name).read_text())
+    for key, value in fields.items():
+        doc[key] = value(doc[key]) if callable(value) else value
+    return json.dumps(doc)
 
 
 def run(argv, capsysbinary):
@@ -108,22 +117,47 @@ class TestAnalyze:
         assert (code, out) == (2, b"")
         assert err == b"error: seed must be a non-negative integer\n"
 
-    def test_malformed_model_exits_2(self, tmp_path, capsysbinary):
-        classical = json.loads((EXAMPLES / "classical.json").read_text())
-        huge_weight = dict(classical, weights=[10**400] + classical["weights"][1:])
-        huge_kernel = json.loads((EXAMPLES / "perturbed.json").read_text())
-        huge_kernel["kernel"][0][0] = 10**400
-        for text in (
-            '{"schema": 2}',
-            json.dumps(huge_weight),
-            json.dumps(huge_kernel),
-            '{"schema": 1, "weights": [1' + "0" * 5000 + "]}",
-        ):
-            bad = tmp_path / "bad.json"
-            bad.write_text(text)
-            code, _, err = run(["analyze", "--model", str(bad)], capsysbinary)
-            assert code == 2
-            assert err.startswith(b"error:") and err.count(b"\n") == 1
+    @pytest.mark.parametrize(
+        "source, text, location",
+        [
+            pytest.param("--model", '{"schema": 2}', "schema", id="schema"),
+            pytest.param(
+                "--model", _edited("classical.json", weights=[10**400, 0.2, 0.3, 0.4]),
+                "weights[0]", id="huge-weight",
+            ),
+            pytest.param(
+                "--model", _edited("perturbed.json", kernel=lambda k: [[10**400] + k[0][1:]] + k[1:]),
+                "kernel.row[0][0]", id="huge-kernel-entry",
+            ),
+            pytest.param(
+                "--model", '{"schema": 1, "weights": [1' + "0" * 5000 + "]}", "not valid JSON",
+                id="over-long-integer",
+            ),
+            pytest.param("--model", _edited("classical.json", variables=[]), "variables", id="variables"),
+            pytest.param(
+                "--model", _edited("classical.json", variables=lambda v: dict(v, path="left")),
+                "variables.path", id="variable-values",
+            ),
+            pytest.param("--model", _edited("classical.json", selector=3), "selector", id="selector"),
+            pytest.param("--model", _edited("classical.json", context=[]), "context", id="context"),
+            pytest.param(
+                "--model", _edited("classical.json", kernel=[[1, 0, 0, 0]]), "kernel", id="kernel-rows"
+            ),
+            pytest.param("--model", _edited("classical.json", options=[7]), "options", id="options"),
+            pytest.param("--table", "", "header", id="empty-table"),
+            pytest.param(
+                "--table", TABLE_HEADER + "direct,,,750\n", "row[2]", id="empty-outcome"
+            ),
+        ],
+    )
+    def test_malformed_input_exits_2_at_its_location(
+        self, source, text, location, tmp_path, capsysbinary
+    ):
+        bad = tmp_path / "bad"
+        bad.write_text(text)
+        code, out, err = run(["analyze", source, str(bad)], capsysbinary)
+        assert (code, out) == (2, b"")
+        assert err.startswith(f"error: {location}: ".encode()) and err.count(b"\n") == 1
 
     def test_deeply_nested_model_exits_2(self, tmp_path):
         # A fresh interpreter, as a user runs it: the parser's recursion error must not escape.
@@ -187,7 +221,6 @@ class TestAnalyze:
         "field, location",
         [
             ("classify_tolerance", "options.classify_tolerance"),
-            ("sensitivity_tolerance", "options.sensitivity_tolerance"),
             ("energy", "variables.energy[1]"),
         ],
     )

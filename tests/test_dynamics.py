@@ -364,11 +364,51 @@ class TestContextualStatistics:
                 space, Context([0]), selector, outcome, PerturbationKernel.identity(4)
             )
 
-    def test_direct_construction_validates_shapes(self):
-        with pytest.raises(InvariantViolation):
-            ContextualStatistics(
-                ("a", "b"), ("x", "y"), (0.5, 0.5), (0.6, 0.6), [[0.5, 0.5], [0.5, 0.5]]
-            )
+    @pytest.mark.parametrize(
+        "changes, error, message",
+        [
+            pytest.param(
+                {"outcome_marginals": (0.6, 0.6)},
+                InvariantViolation,
+                "outcome marginals must sum to 1 within 1e-10, got 1.2",
+                id="bad-sum",
+            ),
+            pytest.param(
+                {"selector_labels": ("a", "a")},
+                TypeMismatch,
+                "selector variable must take exactly 2 distinct values, got ('a', 'a')",
+                id="repeated-label",
+            ),
+            pytest.param(
+                {"outcome_labels": ("x", "y", "z")},
+                TypeMismatch,
+                "outcome variable must take exactly 2 distinct values, got ('x', 'y', 'z')",
+                id="three-labels",
+            ),
+            pytest.param(
+                {"selector_marginals": (0.5, 0.25, 0.25)},
+                InvariantViolation,
+                "marginals must be length-2 vectors",
+                id="marginals-shape",
+            ),
+            pytest.param(
+                {"transition": [[0.5, 0.5]] * 3},
+                InvariantViolation,
+                "transition must be a 2x2 matrix",
+                id="transition-shape",
+            ),
+        ],
+    )
+    def test_direct_construction_validates_shapes(self, changes, error, message):
+        fields = {
+            "selector_labels": ("a", "b"),
+            "outcome_labels": ("x", "y"),
+            "selector_marginals": (0.5, 0.5),
+            "outcome_marginals": (0.5, 0.5),
+            "transition": [[0.5, 0.5], [0.5, 0.5]],
+        }
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            ContextualStatistics(**(fields | changes))
 
     @pytest.mark.parametrize(
         "vector, message",
@@ -805,6 +845,30 @@ class TestSampleFrequencies:
             np.testing.assert_array_equal(other, counts[0])
         masses = measurement_distribution(space, context, variable).masses
         np.testing.assert_array_equal(counts[0], reference_counts(masses, n, 7))
+
+    # without an affinity call, as on macOS and Windows, the CPU count is
+    # taken; one worker when even that is unknown.  200003 draws are 4 chunks.
+    @pytest.mark.parametrize("cpu_count, workers", [(3, 3), (None, 1)])
+    @pytest.mark.parametrize(
+        "model, seed, n, counts",
+        [row for row in PINNED_COUNTS if row[2] == 200003],
+        ids=[f"{m.__name__}-{seed}" for m, seed, n, _ in PINNED_COUNTS if n == 200003],
+    )
+    def test_cpu_count_is_the_fallback(self, monkeypatch, cpu_count, workers, model, seed, n, counts):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        real_philox = np.random.Philox
+        threads = set()
+
+        def philox(child):
+            threads.add(threading.current_thread())
+            return real_philox(child)
+
+        monkeypatch.setattr(np.random, "Philox", philox)
+        space, variable = model()
+        table = sample_frequencies(space, Context.full(space), variable, n, seed)
+        assert len(threads) == workers
+        assert table.counts.tolist() == counts
 
     def test_counts_hold_under_frequent_thread_switches(self, monkeypatch):
         # more workers than cores, switching as often as the interpreter can,

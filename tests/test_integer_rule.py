@@ -139,6 +139,7 @@ def test_counts_beyond_int64_are_refused(counts, total):
 @pytest.mark.parametrize(
     "counts, message",
     [
+        pytest.param([8, -1], "counts must be non-negative", id="negative"),
         pytest.param([[6], 1], "expected an integer, got [6]", id="ragged"),
         pytest.param([[6], [1]], "one count per support value required", id="nested"),
         pytest.param(np.array([[6, 1]]), "one count per support value required", id="2-d"),

@@ -4,6 +4,7 @@ import re
 import sys
 import tracemalloc
 from collections.abc import Mapping
+from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
@@ -32,6 +33,8 @@ from synth import (
     random_space,
     random_trigonometric_statistics,
 )
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "example_models"
 
 
 def model_document(**overrides):
@@ -625,10 +628,12 @@ class TestLoadModel:
             load_model(model_text(weights=weights))
         assert str(info.value) == f"weights[1]: {message}"
 
-    def test_unknown_option(self):
+    # the report's flag is always judged at the default tolerance, so none may be given
+    @pytest.mark.parametrize("key", ["verbosity", "sensitivity_tolerance"])
+    def test_unknown_option(self, key):
         with pytest.raises(InvariantViolation) as info:
-            load_model(model_text(options={"verbosity": 3}))
-        assert info.value.path == "options.verbosity"
+            load_model(model_text(options={key: 3}))
+        assert str(info.value) == f"options.{key}: unknown option"
 
     def test_negative_seed(self):
         with pytest.raises(InvariantViolation) as info:
@@ -649,7 +654,6 @@ class TestLoadModel:
         assert model.options.sample_size == 1000
         assert model.options.classify_tolerance == 1e-9
 
-    @pytest.mark.parametrize("key", ["classify_tolerance", "sensitivity_tolerance"])
     @pytest.mark.parametrize(
         "value, message",
         [
@@ -660,17 +664,29 @@ class TestLoadModel:
             pytest.param(-1e-9, "tolerance must be positive", id="negative"),
         ],
     )
-    def test_tolerance_must_be_finite_and_positive(self, key, value, message):
+    def test_tolerance_must_be_finite_and_positive(self, value, message):
         with pytest.raises(InvariantViolation) as info:
-            load_model(model_text(options={key: value}))  # nan is written as NaN
-        assert str(info.value) == f"options.{key}: {message}"
+            load_model(model_text(options={"classify_tolerance": value}))  # nan is written as NaN
+        assert str(info.value) == f"options.classify_tolerance: {message}"
 
-    @pytest.mark.parametrize("key", ["classify_tolerance", "sensitivity_tolerance"])
     @pytest.mark.parametrize("value", [True, "1e-9", None, [1e-9]], ids=repr)
-    def test_tolerance_must_be_a_number(self, key, value):
+    def test_tolerance_must_be_a_number(self, value):
         with pytest.raises(InvariantViolation) as info:
-            load_model(model_text(options={key: value}))
-        assert str(info.value) == f"options.{key}: expected a number, got {value!r}"
+            load_model(model_text(options={"classify_tolerance": value}))
+        assert str(info.value) == f"options.classify_tolerance: expected a number, got {value!r}"
+
+    # 1.125 is the magnitude of both coefficients of the hyperbolic example
+    @pytest.mark.parametrize("tolerance, regime", [(1e-12, "hyperbolic"), (0.25, "trigonometric")])
+    def test_a_classify_tolerance_reaches_the_report(self, tolerance, regime):
+        doc = json.loads((EXAMPLES / "hyperbolic.json").read_text())
+        doc["options"] = {"classify_tolerance": tolerance}
+        model = load_model(json.dumps(doc))
+        assert model.options.classify_tolerance == tolerance
+        data = emit_report(analyze_model(model))
+        report = json.loads(data)
+        assert report["interference"]["classify_tolerance"] == tolerance
+        assert report["amplitudes"]["regime"] == regime
+        assert emit_report(load_report(data)) == data
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_variable_value_is_located(self, value):

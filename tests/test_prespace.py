@@ -50,9 +50,18 @@ class TestTypeInvariants:
         with pytest.raises(InvariantViolation):
             Prespace(["a", "b"], [1.5, -0.5])
 
-    def test_at_least_one_point(self):
-        with pytest.raises(InvariantViolation):
-            Prespace([], [])
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            pytest.param(lambda: Prespace([], []), "a prespace needs at least one point", id="prespace"),
+            pytest.param(
+                lambda: RandomVariable("v", []), "variable 'v' needs at least one value", id="variable"
+            ),
+        ],
+    )
+    def test_at_least_one_point(self, build, message):
+        with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+            build()
 
     def test_duplicate_point_ids_rejected(self):
         with pytest.raises(InvariantViolation):
@@ -67,11 +76,18 @@ class TestTypeInvariants:
         np.testing.assert_allclose(space.weights, 0.2)
 
     @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(Prespace.from_weights, id="from_weights"),
+            pytest.param(lambda masses: Distribution(["x", "y"], masses), id="Distribution"),
+        ],
+    )
+    @pytest.mark.parametrize(
         "weights, shape", [pytest.param(1.0, "()", id="scalar"), ([[0.5, 0.5]], "(1, 2)")]
     )
-    def test_from_weights_needs_a_vector(self, weights, shape):
+    def test_from_weights_needs_a_vector(self, build, weights, shape):
         with pytest.raises(InvariantViolation, match=re.escape(f"got shape {shape}")):
-            Prespace.from_weights(weights)
+            build(weights)
 
     def test_context_must_be_non_empty(self):
         with pytest.raises(InvariantViolation):

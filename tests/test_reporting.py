@@ -231,7 +231,12 @@ def _path(keys) -> str:
 
 
 # every field that load_report derives from the statistics and the tolerance
-_DERIVED = (("amplitudes",), ("born_residual",), ("interference", "entries"))
+_DERIVED = (
+    ("amplitudes",),
+    ("born_residual",),
+    ("contextually_sensitive",),
+    ("interference", "entries"),
+)
 
 
 @settings(max_examples=300, deadline=None)
@@ -277,6 +282,32 @@ def test_a_tampered_field_is_refused_at_its_path(field, value, path):
     doc = json.loads((GOLDEN / "classical.report.json").read_bytes())
     _set_field(doc, field, value)
     assert _refusal(doc).path == path
+
+
+@pytest.mark.parametrize("golden", GOLDENS, ids=[path.name for path in GOLDENS])
+def test_a_flipped_sensitivity_flag_is_refused(golden):
+    doc = json.loads(golden.read_bytes())
+    doc["contextually_sensitive"] = not doc["contextually_sensitive"]
+    refusal = _refusal(doc)
+    assert refusal.path == "contextually_sensitive"
+    assert str(refusal).startswith("contextually_sensitive: expected ")
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        pytest.param([], "report document must be a JSON object", id="not-an-object"),
+        pytest.param(
+            {"schema": REPORT_SCHEMA},
+            "malformed report document: KeyError('statistics')",
+            id="no-statistics",
+        ),
+    ],
+)
+def test_a_document_that_is_not_a_report_is_refused(doc, message):
+    refusal = _refusal(doc)
+    assert refusal.path is None
+    assert str(refusal) == message
 
 
 def test_a_missing_derived_field_is_refused_at_its_path():
@@ -325,14 +356,6 @@ def test_a_tolerance_that_is_not_a_finite_non_negative_number_is_refused(toleran
 def test_golden_re_emits_through_load_report(golden):
     data = golden.read_bytes()
     assert emit_report(load_report(data)) == data
-
-
-def test_numpy_sensitivity_tolerance_gives_a_report():
-    report = analyze_statistics(
-        REGIMES["mixed"], options=AnalysisOptions(sensitivity_tolerance=np.float64(1e-9))
-    )
-    assert type(report.contextually_sensitive) is bool
-    assert b'"contextually_sensitive": true' in emit_report(report)
 
 
 @pytest.mark.parametrize(
