@@ -182,14 +182,29 @@ def branch_probabilities(statistics: ContextualStatistics) -> np.ndarray:
     return statistics.selector_marginals[:, np.newaxis] * statistics.transition
 
 
-def _branches_and_gap(statistics: ContextualStatistics) -> tuple[np.ndarray, np.ndarray]:
+def _branches_and_gap(
+    statistics: ContextualStatistics,
+) -> tuple[tuple[tuple[float, float], tuple[float, float]], tuple[float, float]]:
     """The branch matrix, and each outcome's gap ``observed - branch_1 - branch_2``.
 
     The gap is the failure of the formula of total probability: it is 0 for
     an outcome whose directly observed marginal is the sum of its branches.
+    Both come as Python floats, computed in the order of
+    :func:`branch_probabilities` and its row subtraction, so every bit is the same.
     """
-    branches = branch_probabilities(statistics)
-    return branches, statistics.outcome_marginals - branches[0] - branches[1]
+    s0, s1 = statistics.selector_marginals.tolist()
+    (t00, t01), (t10, t11) = statistics.transition.tolist()
+    o0, o1 = statistics.outcome_marginals.tolist()
+    b00, b01, b10, b11 = s0 * t00, s0 * t01, s1 * t10, s1 * t11
+    return ((b00, b01), (b10, b11)), (o0 - b00 - b10, o1 - b01 - b11)
+
+
+def _check_tolerance(tolerance: float, noun: str) -> None:
+    """Refuse a ``noun`` tolerance that is negative or not finite."""
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise InvariantViolation(
+            f"{noun} tolerance must be finite and not negative, got {tolerance!r}"
+        )
 
 
 def contextual_statistics(
@@ -229,10 +244,12 @@ def is_contextually_sensitive(
     """Whether the two-branch total-probability prediction misses the marginals.
 
     Reports True when the largest absolute gap ``observed - branch_1 -
-    branch_2`` over the outcomes exceeds the tolerance.
+    branch_2`` over the outcomes exceeds the tolerance.  A tolerance that is
+    negative or not finite is refused with :class:`InvariantViolation`.
     """
-    _, gap = _branches_and_gap(statistics)
-    return bool(float(np.max(np.abs(gap))) > tolerance)  # a numpy tolerance would make an np.bool_
+    _check_tolerance(tolerance, "sensitivity")
+    _, (gap_0, gap_1) = _branches_and_gap(statistics)
+    return bool(max(abs(gap_0), abs(gap_1)) > tolerance)  # a numpy tolerance would make an np.bool_
 
 
 def measurement_distribution(

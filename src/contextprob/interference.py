@@ -28,7 +28,9 @@ from enum import Enum
 from typing import Hashable
 
 # branch_probabilities is re-exported: callers may import it from either module
-from .dynamics import ContextualStatistics, _branches_and_gap, branch_probabilities
+from .dynamics import (
+    ContextualStatistics, _branches_and_gap, _check_tolerance, branch_probabilities,
+)
 from .errors import InvariantViolation, NoPhase
 
 DEFAULT_CLASSIFY_TOLERANCE = 1e-9
@@ -151,18 +153,16 @@ def analyze_interference(
     classification and no coefficient, phase, or sign.  A tolerance that is
     negative or not finite is refused with :class:`InvariantViolation`.
     """
-    if not (math.isfinite(tolerance) and tolerance >= 0):
-        raise InvariantViolation(
-            f"classify tolerance must be finite and not negative, got {tolerance!r}"
-        )
+    _check_tolerance(tolerance, "classify")
     branches, gap = _branches_and_gap(statistics)
     entries = []
-    for j, label in enumerate(statistics.outcome_labels):
-        observed = float(statistics.outcome_marginals[j])
-        pair = (float(branches[0, j]), float(branches[1, j]))
+    for j, (label, observed) in enumerate(
+        zip(statistics.outcome_labels, statistics.outcome_marginals.tolist())
+    ):
+        pair = (branches[0][j], branches[1][j])
         coefficient = None
         if pair[0] != 0.0 and pair[1] != 0.0:
-            coefficient = float(gap[j]) / (2.0 * _sqrt_product(*pair))
+            coefficient = gap[j] / (2.0 * _sqrt_product(*pair))
         if coefficient is None or not math.isfinite(coefficient):
             coefficient = phase = sign = None
             kind = Classification.DEGENERATE

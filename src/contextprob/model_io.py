@@ -33,7 +33,7 @@ from .errors import DegenerateData, InvariantViolation
 from .interference import DEFAULT_CLASSIFY_TOLERANCE
 from .prespace import (
     Context, Prespace, RandomVariable, _AutoNames, _built, _check_normalized, _checked_int,
-    _checked_reals, _real_types, _shown, context_probability,
+    _checked_reals, _real_types, _shown,
 )
 
 SCHEMA_VERSION = 1
@@ -217,9 +217,10 @@ def load_model(data: bytes | str) -> ExperimentModel:
     # Checked above, so built from a membership mask: sorted and unique by construction.
     mask = np.zeros(size, dtype=bool)
     mask[raw_context] = True
-    context = _built(Context, indices=np.flatnonzero(mask))
-    if context_probability(prespace, context) <= 0.0:
+    members = np.flatnonzero(mask)
+    if float(weights[members].sum()) <= 0.0:
         _fail("context", "context carries zero total weight")
+    context = _built(Context, indices=members)
 
     kernel = None
     raw_kernel = doc.get("kernel")

@@ -43,17 +43,30 @@ _SHOWN_LIMIT = 200  # longest repr of a value that a diagnostic shows whole
 
 
 def _set(instance, **fields):
-    """Set ``instance``'s fields, each ndarray made read-only; returns ``instance``."""
-    for name, value in fields.items():
+    """Store ``instance``'s fields in one step, each ndarray first made read-only.
+
+    The fields go straight into the instance's ``__dict__``, past the frozen
+    dataclass's ``__setattr__``.  Returns ``instance``.
+    """
+    for value in fields.values():
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
-        object.__setattr__(instance, name, value)
+    instance.__dict__.update(fields)
     return instance
 
 
 def _built(cls, **fields):
-    """A frozen ``cls`` from fields derived from checked input; checks nothing."""
-    return _set(object.__new__(cls), **fields)
+    """A frozen ``cls`` from fields derived from checked input; checks nothing.
+
+    The fields are stored as :func:`_set` stores them, written out here
+    because a small analysis builds a dozen values and the call shows.
+    """
+    for value in fields.values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    instance = object.__new__(cls)
+    instance.__dict__.update(fields)
+    return instance
 
 
 class _Stored:
@@ -147,8 +160,17 @@ def _check_normalized(
     first of these is raised: a non-finite entry, a negative one, a bad sum;
     a matrix's first bad row is named in the path ``noun.row[i]``.  Only a
     non-finite sum can hide a non-finite entry, so entries are inspected only
-    then; sums that overflow or meet inf - inf raise no numpy warning.
+    then; sums that overflow or meet inf - inf raise no numpy warning.  A
+    non-empty vector with every entry in [0, 1] and a good sum returns first,
+    by its minimum, maximum and sum alone: it accepts exactly what the full
+    check accepts, and anything else gets the full check and its message.
     """
+    # A vector with entries in [0, 1] cannot overflow its sum, so the common
+    # case is accepted first, without the errstate of the full check below.
+    if m.ndim == 1 and m.size and m.min() >= 0.0 and m.max() <= 1.0 and (
+        abs(float(m.sum()) - 1.0) <= tolerance
+    ):
+        return
     rows = np.atleast_2d(m)
     with np.errstate(over="ignore", invalid="ignore"):
         sums = rows.sum(axis=1).tolist()

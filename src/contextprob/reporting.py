@@ -12,7 +12,8 @@ produces the same bytes, and emit(load(emit(r))) is byte-identical.
 and analyses them again.  Every other field comes from that analysis or is
 a constant, except ``tool.version``, which is read as a string.  A document
 that differs from that report in any key, value or type (``1`` is not
-``true``; ``1.0`` is ``1``) is refused at its first differing path.
+``true``; ``1.0`` is ``1``) is refused at its first differing path, and an
+input that is missing or of the wrong kind at that input's path.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from json.encoder import encode_basestring_ascii
 from typing import Any, Hashable, Mapping
 
@@ -49,6 +50,7 @@ from .prespace import _shown
 
 TOOL_NAME = "contextprob"
 REPORT_SCHEMA = 1
+_STATISTICS_FIELDS = {field.name for field in fields(ContextualStatistics)}
 
 
 @dataclass(frozen=True)
@@ -140,7 +142,7 @@ def emit_report(report: AnalysisReport) -> bytes:
     return (
         "{\n"
         '  "amplitudes": {\n'
-        f'    "components": {_encode(components, 2)},\n'
+        f'    "components": {_rows(components, 2)},\n'
         f'    "regime": {_encode(report.regime, 2)}\n'
         "  },\n"
         f'  "born_residual": {_encode(report.born_residual, 1)},\n'
@@ -154,10 +156,10 @@ def emit_report(report: AnalysisReport) -> bytes:
         f'  "seed": {_encode(report.seed, 1)},\n'
         '  "statistics": {\n'
         f'    "outcome_labels": {_encode(list(stats.outcome_labels), 2)},\n'
-        f'    "outcome_marginals": {_encode(stats.outcome_marginals.tolist(), 2)},\n'
+        f'    "outcome_marginals": {_numbers(stats.outcome_marginals.tolist(), 2)},\n'
         f'    "selector_labels": {_encode(list(stats.selector_labels), 2)},\n'
-        f'    "selector_marginals": {_encode(stats.selector_marginals.tolist(), 2)},\n'
-        f'    "transition": {_encode(stats.transition.tolist(), 2)}\n'
+        f'    "selector_marginals": {_numbers(stats.selector_marginals.tolist(), 2)},\n'
+        f'    "transition": {_rows(stats.transition.tolist(), 2)}\n'
         "  },\n"
         '  "tool": {\n'
         f'    "name": "{TOOL_NAME}",\n'
@@ -177,7 +179,7 @@ def _entries(entries) -> str:
 def _entry(entry: OutcomeInterference) -> str:
     return (
         "      {\n"
-        f'        "branches": {_encode(list(entry.branches), 4)},\n'
+        f'        "branches": {_numbers(list(entry.branches), 4)},\n'
         f'        "classification": {_encode(entry.classification.value, 4)},\n'
         f'        "coefficient": {_encode(entry.coefficient, 4)},\n'
         f'        "observed": {_encode(entry.observed, 4)},\n'
@@ -199,15 +201,24 @@ def load_report(data: bytes | str) -> AnalysisReport:
             f"expected report schema {REPORT_SCHEMA}, got {_shown(schema)}",
             path="schema",
         )
+    raw = _input(doc, "statistics")
+    if type(raw) is not dict:
+        raise InvariantViolation("expected an object", path="statistics")
+    for key in sorted(raw.keys() | _STATISTICS_FIELDS):
+        if key not in raw or key not in _STATISTICS_FIELDS:
+            raise InvariantViolation(
+                "unknown key" if key in raw else "missing", path=f"statistics.{_key(key)}"
+            )
     try:
         statistics = ContextualStatistics(**{
             key: _label(value) if key.endswith("_labels") else value
-            for key, value in doc["statistics"].items()
+            for key, value in raw.items()
         })
-        tolerance = doc["interference"]["classify_tolerance"]
-        digest, seed, version = doc["input_digest"], doc["seed"], doc["tool"]["version"]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise InvariantViolation(f"malformed report document: {exc!r}") from exc
+    except (InvariantViolation, TypeError) as exc:  # TypeMismatch, or an unhashable label
+        raise InvariantViolation(str(exc), path="statistics") from None
+    tolerance = _input(doc, "interference", "classify_tolerance")
+    digest, seed = _input(doc, "input_digest"), _input(doc, "seed")
+    version = _input(doc, "tool", "version")
     # zero is allowed: the trigonometric band then ends at exactly 1
     if type(tolerance) not in (int, float) or not 0 <= tolerance <= sys.float_info.max:
         raise InvariantViolation(
@@ -226,6 +237,20 @@ def load_report(data: bytes | str) -> AnalysisReport:
     )
     _refuse_difference(doc, json.loads(emit_report(report)), "")
     return report
+
+
+def _input(doc: dict, *keys: str) -> Any:
+    """The value at ``keys`` in a report document, refused where a key is
+    missing or an object is expected, in the words of :func:`_refuse_difference`."""
+    value, path = doc, ""
+    for key in keys:
+        if type(value) is not dict:
+            raise InvariantViolation("expected an object", path=path)
+        path = f"{path}.{key}" if path else key
+        if key not in value:
+            raise InvariantViolation("missing", path=path)
+        value = value[key]
+    return value
 
 
 def _label(value: Any) -> Hashable:
@@ -314,4 +339,27 @@ def _encode_array(value: list | tuple, level: int) -> str:
         return "[" + ", ".join([_encode(item, level) for item in value]) + "]"
     inner = _INDENT * (level + 1)
     parts = [f"{inner}{_encode(item, level + 1)}" for item in value]
+    return "[\n" + ",\n".join(parts) + "\n" + _INDENT * level + "]"
+
+
+def _numbers(values: list, level: int) -> str:
+    """A list of exact, finite floats on one line, as :func:`_encode` writes it.
+
+    Written here, without a call per entry; any other list goes to
+    :func:`_encode` at ``level``, the field's own depth.
+    """
+    parts = []
+    for value in values:
+        if type(value) is not float or not math.isfinite(value):
+            return _encode(values, level)
+        parts.append(format(value + 0.0, ".17g"))
+    return "[" + ", ".join(parts) + "]"
+
+
+def _rows(rows: list | None, level: int) -> str:
+    """A list of lists of numbers, one row a line, as :func:`_encode` writes it."""
+    if not rows or any(type(row) is not list for row in rows):
+        return _encode(rows, level)
+    inner = _INDENT * (level + 1)
+    parts = [inner + _numbers(row, level + 1) for row in rows]
     return "[\n" + ",\n".join(parts) + "\n" + _INDENT * level + "]"

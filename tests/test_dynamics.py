@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from contextprob import (
@@ -35,9 +35,24 @@ from contextprob import (
     variable_distribution,
 )
 
-from contextprob.dynamics import SAMPLE_BLOCK, SAMPLE_CHUNK, WORD_RANGE, _word_limits
+from contextprob.dynamics import (
+    DEFAULT_SENSITIVITY_TOLERANCE,
+    SAMPLE_BLOCK,
+    SAMPLE_CHUNK,
+    WORD_RANGE,
+    _branches_and_gap,
+    _word_limits,
+    branch_probabilities,
+)
 
-from synth import random_kernel, random_space
+from synth import (
+    _statistics_from_coefficient,
+    random_hyperbolic_statistics,
+    random_kernel,
+    random_perturbed_model,
+    random_space,
+    random_trigonometric_statistics,
+)
 
 
 def two_point_model():
@@ -645,11 +660,63 @@ class TestSensitivity:
         stats = contextual_statistics(space, context, selector, outcome, kernel)
         assert type(is_contextually_sensitive(stats, tolerance)) is bool
 
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0])
+    def test_tolerance_must_be_finite_and_not_negative(self, tolerance):
+        space, selector, outcome, context, kernel = two_point_model()
+        stats = contextual_statistics(space, context, selector, outcome, kernel)
+        with pytest.raises(InvariantViolation) as info:
+            is_contextually_sensitive(stats, tolerance)
+        assert str(info.value) == (
+            f"sensitivity tolerance must be finite and not negative, got {tolerance!r}"
+        )
+
     def test_consistent_statistics_not_flagged(self):
         sel = np.array([0.4, 0.6])
         t = np.array([[0.7, 0.3], [0.2, 0.8]])
         stats = ContextualStatistics(("a", "b"), ("x", "y"), sel, sel @ t, t)
         assert not is_contextually_sensitive(stats)
+
+
+def _boundary_statistics(rng, coefficient):
+    """Statistics whose first coefficient is ``coefficient``, or None where no
+    marginal of these branches reaches it."""
+    a = rng.uniform(0.05, 0.95)
+    u, v = rng.uniform(0.05, 0.95, 2)
+    try:
+        return _statistics_from_coefficient([a, 1.0 - a], [[u, 1.0 - u], [v, 1.0 - v]], coefficient)
+    except InvariantViolation:
+        return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    kind=st.sampled_from(["perturbed", "trigonometric", "hyperbolic", "boundary"]),
+    seed=st.integers(0, 2**32 - 1),
+    boundary=st.sampled_from([-1.0, 1.0]),
+    offset=st.floats(-1e-9, 1e-9),
+)
+def test_float_branches_and_gap_are_the_array_ones_bit_for_bit(kind, seed, boundary, offset):
+    rng = np.random.default_rng(seed)
+    if kind == "perturbed":
+        stats = random_perturbed_model(rng)[-1]
+    elif kind == "trigonometric":
+        stats = random_trigonometric_statistics(rng)
+    elif kind == "hyperbolic":
+        stats = random_hyperbolic_statistics(rng)
+    else:  # a coefficient within 1e-9 of -1 or 1
+        stats = _boundary_statistics(rng, boundary + offset)
+        assume(stats is not None)
+    branches, gap = _branches_and_gap(stats)
+    expected = branch_probabilities(stats)
+    expected_gap = stats.outcome_marginals - expected[0] - expected[1]
+    assert branches == tuple(map(tuple, expected.tolist()))
+    assert gap == tuple(expected_gap.tolist())
+    assert np.array(branches).tobytes() == expected.tobytes()  # -0.0 too
+    assert np.array(gap).tobytes() == expected_gap.tobytes()
+    for tolerance in (0.0, DEFAULT_SENSITIVITY_TOLERANCE, 1e-3):
+        assert is_contextually_sensitive(stats, tolerance) == (
+            float(np.max(np.abs(expected_gap))) > tolerance
+        )
 
 
 class TestMeasurementDistribution:

@@ -31,6 +31,8 @@ from contextprob import (
     variable_distribution,
 )
 
+from contextprob.prespace import WEIGHT_TOLERANCE, _check_normalized
+
 from synth import random_space
 
 
@@ -602,3 +604,58 @@ class TestTotalProbabilityLaw:
             inner = variable_distribution(space, v, narrowed)
             assert inner.mass(value) == pytest.approx(1.0, abs=1e-12)
             assert weight == pytest.approx(direct.masses[j], abs=1e-12)
+
+
+_ODD_ENTRIES = [
+    1.0 + 1e-13,
+    1.0 - 1e-13,
+    -0.0,
+    5e-324,  # the smallest subnormal
+    2.2250738585072014e-308,  # the smallest normal
+    math.nan,
+    math.inf,
+    -math.inf,
+    -5e-324,
+    1e308,  # two of them overflow a sum
+    sys.float_info.max,
+]
+
+
+@st.composite
+def _vectors(draw):
+    """Vectors near and far from normalized, some with odd entries."""
+    entries = draw(st.lists(st.floats(0.0, 1.0), max_size=9))
+    if entries and draw(st.booleans()):
+        total = math.fsum(entries)
+        if total > 0.0:
+            entries = (np.array(entries) / total).tolist()
+    for _ in range(draw(st.integers(0, 3)) if entries else 0):
+        entries[draw(st.integers(0, len(entries) - 1))] = draw(st.sampled_from(_ODD_ENTRIES))
+    return np.array(entries, dtype=float)
+
+
+def _verdict(check):
+    try:
+        check()
+    except InvariantViolation as exc:
+        return exc.path, str(exc)
+    return None
+
+
+@settings(max_examples=1000, deadline=None)
+@given(vector=_vectors(), tolerance=st.sampled_from([WEIGHT_TOLERANCE, 1e-10, 0.0, 0.5]))
+def test_a_vector_is_judged_as_a_one_row_matrix(vector, tolerance):
+    """The early return for a vector accepts exactly what the full check accepts.
+
+    A one-row matrix always takes the full check, which names its row; the
+    vector's refusal is the same one, naming the noun instead.
+    """
+    vector.setflags(write=False)
+    found = _verdict(lambda: _check_normalized(vector, "weights", tolerance))
+    full = _verdict(lambda: _check_normalized(vector[np.newaxis], "weights", tolerance))
+    if full is None:
+        assert found is None
+    else:
+        path, message = full
+        assert path == "weights.row[0]"
+        assert found == (None, message.replace("weights.row[0]: row", "weights", 1))

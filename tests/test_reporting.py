@@ -294,20 +294,70 @@ def test_a_flipped_sensitivity_flag_is_refused(golden):
 
 
 @pytest.mark.parametrize(
-    "doc, message",
+    "doc, path, message",
     [
-        pytest.param([], "report document must be a JSON object", id="not-an-object"),
+        pytest.param([], None, "report document must be a JSON object", id="not-an-object"),
+        pytest.param({"schema": REPORT_SCHEMA}, "statistics", "missing", id="no-statistics"),
         pytest.param(
-            {"schema": REPORT_SCHEMA},
-            "malformed report document: KeyError('statistics')",
-            id="no-statistics",
+            {"schema": REPORT_SCHEMA, "statistics": []},
+            "statistics",
+            "expected an object",
+            id="statistics-not-an-object",
         ),
     ],
 )
-def test_a_document_that_is_not_a_report_is_refused(doc, message):
+def test_a_document_that_is_not_a_report_is_refused(doc, path, message):
     refusal = _refusal(doc)
-    assert refusal.path is None
-    assert str(refusal) == message
+    assert refusal.path == path
+    assert str(refusal) == (message if path is None else f"{path}: {message}")
+
+
+def _without(doc, keys):
+    *parents, last = keys
+    for key in parents:
+        doc = doc[key]
+    del doc[last]
+
+
+@pytest.mark.parametrize(
+    "change, path, message",
+    [
+        (lambda doc: _without(doc, ("statistics", "transition")), "statistics.transition", "missing"),
+        (lambda doc: _set_field(doc, ("statistics", "extra"), 1), "statistics.extra", "unknown key"),
+        (lambda doc: _without(doc, ("interference",)), "interference", "missing"),
+        (lambda doc: _set_field(doc, ("interference",), [0.5]), "interference", "expected an object"),
+        (
+            lambda doc: _without(doc, ("interference", "classify_tolerance")),
+            "interference.classify_tolerance",
+            "missing",
+        ),
+        (lambda doc: _without(doc, ("input_digest",)), "input_digest", "missing"),
+        (lambda doc: _without(doc, ("seed",)), "seed", "missing"),
+        (lambda doc: _set_field(doc, ("tool",), "contextprob"), "tool", "expected an object"),
+        (lambda doc: _without(doc, ("tool", "version")), "tool.version", "missing"),
+        (
+            lambda doc: _set_field(doc, ("statistics", "outcome_marginals"), [0.5, 0.75]),
+            "statistics",
+            "outcome marginals must sum to 1 within 1e-10, got 1.25",
+        ),
+        (
+            lambda doc: _set_field(doc, ("statistics", "selector_labels"), ["a", "a"]),
+            "statistics",
+            "selector variable must take exactly 2 distinct values, got ('a', 'a')",
+        ),
+        (
+            lambda doc: _set_field(doc, ("statistics", "selector_labels"), [{}, "a"]),
+            "statistics",
+            "unhashable type: 'dict'",
+        ),
+    ],
+)
+def test_a_report_input_that_cannot_be_read_is_refused_at_its_path(change, path, message):
+    doc = json.loads((GOLDEN / "classical.report.json").read_bytes())
+    change(doc)
+    refusal = _refusal(doc)
+    assert refusal.path == path
+    assert str(refusal) == f"{path}: {message}"
 
 
 def test_a_missing_derived_field_is_refused_at_its_path():
