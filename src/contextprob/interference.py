@@ -59,6 +59,16 @@ def _sqrt_product(first: float, second: float) -> float:
     return math.ldexp(math.sqrt(mantissa), exponent // 2)
 
 
+def _finite(coefficient: float) -> float:
+    """``coefficient`` as a float, refused with :class:`InvariantViolation` unless finite."""
+    coefficient = float(coefficient)
+    if not math.isfinite(coefficient):
+        raise InvariantViolation(
+            f"interference coefficient must be finite, got {coefficient!r}"
+        )
+    return coefficient
+
+
 def classify(
     coefficient: float, tolerance: float = DEFAULT_CLASSIFY_TOLERANCE
 ) -> Classification:
@@ -66,13 +76,11 @@ def classify(
 
     The tolerance band guards against rounding right at the boundary: values
     inside it are classified trigonometric and their phase clamps to 0 or pi.
+    A coefficient that is not finite, or a tolerance that is negative or not
+    finite, is refused with :class:`InvariantViolation`.
     """
-    coefficient = float(coefficient)
-    if not math.isfinite(coefficient):
-        raise InvariantViolation(
-            f"interference coefficient must be finite, got {coefficient!r}"
-        )
-    if abs(coefficient) <= 1.0 + tolerance:
+    _check_tolerance(tolerance, "classify")
+    if abs(_finite(coefficient)) <= 1.0 + tolerance:
         return Classification.TRIGONOMETRIC
     return Classification.HYPERBOLIC
 
@@ -84,14 +92,20 @@ def phases(
 
     Trigonometric: ``(arccos(clamped coefficient), +1)`` with the phase in
     [0, pi].  Hyperbolic: ``(arccosh(|coefficient|), sign(coefficient))``.
-    Raises :class:`NoPhase` for the degenerate classification.
+    Raises :class:`NoPhase` for the degenerate classification, and
+    :class:`InvariantViolation` for a coefficient that is not finite or a
+    hyperbolic one of magnitude below 1.
     """
     if classification is Classification.DEGENERATE or coefficient is None:
         raise NoPhase("a degenerate outcome has no phase")
-    coefficient = float(coefficient)
+    coefficient = _finite(coefficient)
     if classification is Classification.TRIGONOMETRIC:
         return math.acos(min(1.0, max(-1.0, coefficient))), 1
     if classification is Classification.HYPERBOLIC:
+        if abs(coefficient) < 1.0:
+            raise InvariantViolation(
+                f"a hyperbolic coefficient must have magnitude at least 1, got {coefficient!r}"
+            )
         return math.acosh(abs(coefficient)), (1 if coefficient > 0 else -1)
     raise InvariantViolation(f"unknown classification {classification!r}")
 

@@ -131,8 +131,8 @@ def emit_report(report: AnalysisReport) -> bytes:
     """Canonical bytes of a report (stable across runs and platforms).
 
     The report's fixed, key-sorted layout is written in one pass, each value
-    by the :func:`canonical_json` rules at its depth; a non-finite number is
-    refused.
+    by the :func:`canonical_json` writers at its depth, so the report and any
+    other document share one array writer; a non-finite number is refused.
     """
     stats = report.statistics
     interference = report.interference
@@ -142,7 +142,7 @@ def emit_report(report: AnalysisReport) -> bytes:
     return (
         "{\n"
         '  "amplitudes": {\n'
-        f'    "components": {_rows(components, 2)},\n'
+        f'    "components": {_encode(components, 2)},\n'
         f'    "regime": {_encode(report.regime, 2)}\n'
         "  },\n"
         f'  "born_residual": {_encode(report.born_residual, 1)},\n'
@@ -156,10 +156,10 @@ def emit_report(report: AnalysisReport) -> bytes:
         f'  "seed": {_encode(report.seed, 1)},\n'
         '  "statistics": {\n'
         f'    "outcome_labels": {_encode(list(stats.outcome_labels), 2)},\n'
-        f'    "outcome_marginals": {_numbers(stats.outcome_marginals.tolist(), 2)},\n'
+        f'    "outcome_marginals": {_encode_array(stats.outcome_marginals.tolist(), 2)},\n'
         f'    "selector_labels": {_encode(list(stats.selector_labels), 2)},\n'
-        f'    "selector_marginals": {_numbers(stats.selector_marginals.tolist(), 2)},\n'
-        f'    "transition": {_rows(stats.transition.tolist(), 2)}\n'
+        f'    "selector_marginals": {_encode_array(stats.selector_marginals.tolist(), 2)},\n'
+        f'    "transition": {_encode_array(stats.transition.tolist(), 2)}\n'
         "  },\n"
         '  "tool": {\n'
         f'    "name": "{TOOL_NAME}",\n'
@@ -179,7 +179,7 @@ def _entries(entries) -> str:
 def _entry(entry: OutcomeInterference) -> str:
     return (
         "      {\n"
-        f'        "branches": {_numbers(list(entry.branches), 4)},\n'
+        f'        "branches": {_encode_array(entry.branches, 4)},\n'
         f'        "classification": {_encode(entry.classification.value, 4)},\n'
         f'        "coefficient": {_encode(entry.coefficient, 4)},\n'
         f'        "observed": {_encode(entry.observed, 4)},\n'
@@ -287,15 +287,13 @@ def canonical_json(value: Any) -> str:
 
 
 def _encode(value: Any, level: int) -> str:
-    # Exact types first: a report is almost all floats, strings, dicts, lists.
+    # Exact types first: a report's values are almost all floats, strings and arrays.
     # A non-finite float falls through to the float branch, which refuses it.
     kind = type(value)
     if kind is float and math.isfinite(value):
         return format(value + 0.0, ".17g")
     if kind is str:
         return encode_basestring_ascii(value)
-    if kind is dict:
-        return _encode_object(value, level)
     if kind is list:
         return _encode_array(value, level)
     if value is None:
@@ -333,33 +331,20 @@ def _encode_object(value: Mapping, level: int) -> str:
 
 
 def _encode_array(value: list | tuple, level: int) -> str:
-    if not value:
-        return "[]"
+    """The one array writer of :func:`emit_report` and :func:`canonical_json`.
+
+    A run of exact, finite floats, the bulk of a report, is written without a
+    call per entry; at the first other entry the whole array goes the general way.
+    """
+    parts = []
+    for item in value:
+        if type(item) is not float or not math.isfinite(item):
+            break
+        parts.append(format(item + 0.0, ".17g"))
+    else:
+        return "[" + ", ".join(parts) + "]"
     if all(isinstance(item, _SCALARS) for item in value):
         return "[" + ", ".join([_encode(item, level) for item in value]) + "]"
     inner = _INDENT * (level + 1)
     parts = [f"{inner}{_encode(item, level + 1)}" for item in value]
-    return "[\n" + ",\n".join(parts) + "\n" + _INDENT * level + "]"
-
-
-def _numbers(values: list, level: int) -> str:
-    """A list of exact, finite floats on one line, as :func:`_encode` writes it.
-
-    Written here, without a call per entry; any other list goes to
-    :func:`_encode` at ``level``, the field's own depth.
-    """
-    parts = []
-    for value in values:
-        if type(value) is not float or not math.isfinite(value):
-            return _encode(values, level)
-        parts.append(format(value + 0.0, ".17g"))
-    return "[" + ", ".join(parts) + "]"
-
-
-def _rows(rows: list | None, level: int) -> str:
-    """A list of lists of numbers, one row a line, as :func:`_encode` writes it."""
-    if not rows or any(type(row) is not list for row in rows):
-        return _encode(rows, level)
-    inner = _INDENT * (level + 1)
-    parts = [inner + _numbers(row, level + 1) for row in rows]
     return "[\n" + ",\n".join(parts) + "\n" + _INDENT * level + "]"

@@ -364,6 +364,18 @@ class TestSample:
         assert sum(doc["counts"]) == doc["total"] == 1000
         assert doc["seed"] == 5
         assert doc["frequencies"] == [c / 1000 for c in doc["counts"]]
+        # the exact bytes canonical_json writes: counts an int list, frequencies a float list
+        assert out == (
+            b'{\n'
+            b'  "counts": [305, 695],\n'
+            b'  "frequencies": [0.30499999999999999, 0.69499999999999995],\n'
+            b'  "schema": 1,\n'
+            b'  "seed": 5,\n'
+            b'  "support": ["left", "right"],\n'
+            b'  "total": 1000,\n'
+            b'  "variable": "path"\n'
+            b'}\n'
+        )
 
     def test_defaults_come_from_model_options(self, capsysbinary):
         # classical.json pins seed 7; sample_size defaults to 100000

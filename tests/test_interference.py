@@ -106,6 +106,13 @@ class TestClassify:
         with pytest.raises(InvariantViolation):
             classify(float("inf"))
 
+    @pytest.mark.parametrize("tolerance", [-1.0, math.nan])
+    def test_a_tolerance_it_cannot_use_is_refused(self, tolerance):
+        with pytest.raises(
+            InvariantViolation, match="classify tolerance must be finite and not negative"
+        ):
+            classify(0.5, tolerance)
+
     @given(
         coefficient=st.floats(-3.0, 3.0, allow_nan=False),
         nudge=st.floats(-9.9e-10, 9.9e-10),
@@ -151,6 +158,30 @@ class TestPhases:
     def test_degenerate_has_no_phase(self):
         with pytest.raises(NoPhase):
             phases(None, Classification.DEGENERATE)
+
+    @pytest.mark.parametrize(
+        "coefficient, classification",
+        [
+            (math.nan, Classification.TRIGONOMETRIC),
+            (math.nan, Classification.HYPERBOLIC),
+            (math.inf, Classification.HYPERBOLIC),
+            (-math.inf, Classification.TRIGONOMETRIC),
+        ],
+    )
+    def test_a_coefficient_that_is_not_finite_is_refused(self, coefficient, classification):
+        with pytest.raises(InvariantViolation, match="interference coefficient must be finite"):
+            phases(coefficient, classification)
+
+    @pytest.mark.parametrize("coefficient", [0.5, -0.5, 0.0, math.nextafter(1.0, 0.0)])
+    def test_a_hyperbolic_coefficient_below_one_is_refused(self, coefficient):
+        with pytest.raises(
+            InvariantViolation, match="hyperbolic coefficient must have magnitude at least 1"
+        ):
+            phases(coefficient, Classification.HYPERBOLIC)
+
+    def test_a_hyperbolic_coefficient_of_magnitude_one_has_phase_zero(self):
+        assert phases(1.0, Classification.HYPERBOLIC) == (0.0, 1)
+        assert phases(-1.0, Classification.HYPERBOLIC) == (0.0, -1)
 
 
 class TestReport:

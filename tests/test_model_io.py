@@ -9,7 +9,7 @@ from types import MappingProxyType
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contextprob import (
@@ -1071,8 +1071,24 @@ _scalars = st.one_of(
     st.booleans().map(np.bool_),
     st.just({1, 2}),  # not serializable
 )
+# A run of exact, finite floats, alone or followed by one value that ends the
+# array writer's float run, so that every way out of it meets the reference.
+_float_run = st.tuples(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.just(-0.0), min_size=1, max_size=4),
+    st.lists(
+        st.one_of(
+            st.integers(),
+            st.floats().map(np.float64),
+            st.booleans(),
+            st.none(),
+            st.sampled_from([math.nan, math.inf, -math.inf]),
+            st.lists(st.floats(), max_size=2),
+        ),
+        max_size=1,
+    ),
+).map(lambda run: run[0] + run[1])
 _json_like = st.recursive(
-    _scalars,
+    _scalars | _float_run,
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
@@ -1143,6 +1159,9 @@ class TestCanonicalJson:
 
     @settings(max_examples=200, deadline=None)
     @given(document=_json_like)
+    @example(document=[0.5, -0.0])  # a float run to the end, a negative zero in it
+    @example(document=[0.5, -0.0, math.nan])
+    @example(document=[0.5, [-0.0]])
     def test_matches_the_reference_encoder(self, document):
         assert _outcome(canonical_json, document) == _outcome(
             lambda value: _reference_encode(value, 0), document
