@@ -199,14 +199,6 @@ def _branches_and_gap(
     return ((b00, b01), (b10, b11)), (o0 - b00 - b10, o1 - b01 - b11)
 
 
-def _check_tolerance(tolerance: float, noun: str) -> None:
-    """Refuse a ``noun`` tolerance that is negative or not finite."""
-    if not (math.isfinite(tolerance) and tolerance >= 0):
-        raise InvariantViolation(
-            f"{noun} tolerance must be finite and not negative, got {tolerance!r}"
-        )
-
-
 def contextual_statistics(
     space: Prespace,
     context: Context,
@@ -237,19 +229,15 @@ def contextual_statistics(
     )
 
 
-def is_contextually_sensitive(
-    statistics: ContextualStatistics,
-    tolerance: float = DEFAULT_SENSITIVITY_TOLERANCE,
-) -> bool:
+def is_contextually_sensitive(statistics: ContextualStatistics) -> bool:
     """Whether the two-branch total-probability prediction misses the marginals.
 
     Reports True when the largest absolute gap ``observed - branch_1 -
-    branch_2`` over the outcomes exceeds the tolerance.  A tolerance that is
-    negative or not finite is refused with :class:`InvariantViolation`.
+    branch_2`` over the outcomes exceeds ``DEFAULT_SENSITIVITY_TOLERANCE``
+    (1e-9), a fixed constant that no caller or document sets.
     """
-    _check_tolerance(tolerance, "sensitivity")
     _, (gap_0, gap_1) = _branches_and_gap(statistics)
-    return bool(max(abs(gap_0), abs(gap_1)) > tolerance)  # a numpy tolerance would make an np.bool_
+    return max(abs(gap_0), abs(gap_1)) > DEFAULT_SENSITIVITY_TOLERANCE
 
 
 def measurement_distribution(

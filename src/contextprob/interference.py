@@ -28,9 +28,7 @@ from enum import Enum
 from typing import Hashable
 
 # branch_probabilities is re-exported: callers may import it from either module
-from .dynamics import (
-    ContextualStatistics, _branches_and_gap, _check_tolerance, branch_probabilities,
-)
+from .dynamics import ContextualStatistics, _branches_and_gap, branch_probabilities
 from .errors import InvariantViolation, NoPhase
 
 DEFAULT_CLASSIFY_TOLERANCE = 1e-9
@@ -69,6 +67,14 @@ def _finite(coefficient: float) -> float:
     return coefficient
 
 
+def _check_tolerance(tolerance: float, path: str | None = None) -> None:
+    """Refuse a classify tolerance that is negative or not finite, at ``path`` if given."""
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise InvariantViolation(
+            f"classify tolerance must be finite and not negative, got {tolerance!r}", path=path
+        )
+
+
 def classify(
     coefficient: float, tolerance: float = DEFAULT_CLASSIFY_TOLERANCE
 ) -> Classification:
@@ -79,7 +85,7 @@ def classify(
     A coefficient that is not finite, or a tolerance that is negative or not
     finite, is refused with :class:`InvariantViolation`.
     """
-    _check_tolerance(tolerance, "classify")
+    _check_tolerance(tolerance)
     if abs(_finite(coefficient)) <= 1.0 + tolerance:
         return Classification.TRIGONOMETRIC
     return Classification.HYPERBOLIC
@@ -167,7 +173,7 @@ def analyze_interference(
     classification and no coefficient, phase, or sign.  A tolerance that is
     negative or not finite is refused with :class:`InvariantViolation`.
     """
-    _check_tolerance(tolerance, "classify")
+    _check_tolerance(tolerance)
     branches, gap = _branches_and_gap(statistics)
     entries = []
     for j, (label, observed) in enumerate(

@@ -30,7 +30,7 @@ from .dynamics import (
     _checked_seed,
 )
 from .errors import DegenerateData, InvariantViolation
-from .interference import DEFAULT_CLASSIFY_TOLERANCE
+from .interference import DEFAULT_CLASSIFY_TOLERANCE, _check_tolerance
 from .prespace import (
     Context, Prespace, RandomVariable, _AutoNames, _built, _check_normalized, _checked_int,
     _checked_reals, _real_types, _shown,
@@ -266,17 +266,22 @@ def _load_options(raw: Any) -> AnalysisOptions:
             _fail(f"options.{_key(key)}", "unknown option")
     fields: dict[str, Any] = {}
     if "classify_tolerance" in raw:
-        path = "options.classify_tolerance"  # no "{}": the one entry below is named path
-        value = float(_checked_reals([raw["classify_tolerance"]], "tolerance", path)[0])
-        if not math.isfinite(value):
-            _fail(path, f"tolerance must be finite, got {value!r}")
-        if value <= 0.0:
-            _fail(path, "tolerance must be positive")
-        fields["classify_tolerance"] = value
+        fields["classify_tolerance"] = _classify_tolerance(
+            raw["classify_tolerance"], "options.classify_tolerance"
+        )
     for key, check in (("sample_size", _checked_sample_count), ("seed", _checked_seed)):
         if key in raw:
             fields[key] = check(raw[key], f"options.{key}")
     return AnalysisOptions(**fields)
+
+
+def _classify_tolerance(raw: Any, path: str) -> float:
+    """A document's classify tolerance as a float: a number that fits one, which
+    :func:`_check_tolerance` accepts; refused at ``path`` otherwise."""
+    # no "{}" in path: the one entry is named path itself
+    tolerance = float(_checked_reals([raw], "tolerance", path)[0])
+    _check_tolerance(tolerance, path)
+    return tolerance
 
 
 def _count(raw: str, path: str) -> int:

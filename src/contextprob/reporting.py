@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass, fields, replace
 from json.encoder import encode_basestring_ascii
 from typing import Any, Hashable, Mapping
@@ -45,7 +44,9 @@ from .interference import (
     OutcomeInterference,
     analyze_interference,
 )
-from .model_io import AnalysisOptions, ExperimentModel, _json_document, _key
+from .model_io import (
+    AnalysisOptions, ExperimentModel, _classify_tolerance, _json_document, _key,
+)
 from .prespace import _shown
 
 TOOL_NAME = "contextprob"
@@ -136,13 +137,10 @@ def emit_report(report: AnalysisReport) -> bytes:
     """
     stats = report.statistics
     interference = report.interference
-    components = report.amplitude_components
-    if components is not None:
-        components = [list(pair) for pair in components]
     return (
         "{\n"
         '  "amplitudes": {\n'
-        f'    "components": {_encode(components, 2)},\n'
+        f'    "components": {_encode(report.amplitude_components, 2)},\n'
         f'    "regime": {_encode(report.regime, 2)}\n'
         "  },\n"
         f'  "born_residual": {_encode(report.born_residual, 1)},\n'
@@ -219,12 +217,8 @@ def load_report(data: bytes | str) -> AnalysisReport:
     tolerance = _input(doc, "interference", "classify_tolerance")
     digest, seed = _input(doc, "input_digest"), _input(doc, "seed")
     version = _input(doc, "tool", "version")
-    # zero is allowed: the trigonometric band then ends at exactly 1
-    if type(tolerance) not in (int, float) or not 0 <= tolerance <= sys.float_info.max:
-        raise InvariantViolation(
-            f"expected a finite number, not negative, got {_shown(tolerance)}",
-            path="interference.classify_tolerance",
-        )
+    # checked, but kept as read: an integer tolerance is written back as an integer
+    _classify_tolerance(tolerance, "interference.classify_tolerance")
     # Each value is taken as its field's type; the comparison refuses one that was not.
     report = replace(
         analyze_statistics(

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from contextprob import (
@@ -266,3 +266,30 @@ class TestSelectorBasis:
         stats = lopsided_statistics()
         with pytest.raises(WrongRegime):
             selector_basis(stats, analyze_interference(stats))
+
+
+def _entropy(masses):
+    """Shannon entropy in nats; a zero mass adds nothing."""
+    return -sum(m * math.log(m) for m in masses if m > 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_maassen_uffink_bound_holds_and_a_prespace_point_lies_below_it(seed):
+    """``H(p) + H(q) >= -ln max_ij t_ij`` (Maassen & Uffink, PRL 60, 1103, 1988).
+
+    A doubly stochastic trigonometric transition is ``|<e_i|f_j>|^2`` for the
+    selector basis ``e`` and the outcome basis ``f`` of its representation, so
+    the selector and outcome marginals ``p`` and ``q`` obey the bound.  It is
+    not asserted for other statistics, which have no such basis.  A prespace
+    point fixes both variables, so its entropy sum is 0: below the bound, which
+    is positive whenever no ``t_ij`` is 0 or 1.
+    """
+    stats = doubly_stochastic_statistics(np.random.default_rng(seed))
+    assume(analyze_interference(stats).regime == "trigonometric")
+    transition = stats.transition.tolist()
+    assert all(0.0 < t < 1.0 for row in transition for t in row)
+    bound = -math.log(max(max(row) for row in transition))
+    assert bound > 0.0  # so the entropy sum 0 of a prespace point lies below it
+    p, q = stats.selector_marginals.tolist(), stats.outcome_marginals.tolist()
+    assert _entropy(p) + _entropy(q) >= bound

@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import re
@@ -654,21 +655,8 @@ class TestSensitivity:
         # prediction through branches is 0.6 for 'up', direct marginal is 0.5
         assert is_contextually_sensitive(stats)
 
-    @pytest.mark.parametrize("tolerance", [np.float64(1e-9), np.float32(0.5)])
-    def test_numpy_tolerance_gives_a_python_bool(self, tolerance):
-        space, selector, outcome, context, kernel = two_point_model()
-        stats = contextual_statistics(space, context, selector, outcome, kernel)
-        assert type(is_contextually_sensitive(stats, tolerance)) is bool
-
-    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0])
-    def test_tolerance_must_be_finite_and_not_negative(self, tolerance):
-        space, selector, outcome, context, kernel = two_point_model()
-        stats = contextual_statistics(space, context, selector, outcome, kernel)
-        with pytest.raises(InvariantViolation) as info:
-            is_contextually_sensitive(stats, tolerance)
-        assert str(info.value) == (
-            f"sensitivity tolerance must be finite and not negative, got {tolerance!r}"
-        )
+    def test_the_tolerance_is_fixed_not_a_parameter(self):
+        assert list(inspect.signature(is_contextually_sensitive).parameters) == ["statistics"]
 
     def test_consistent_statistics_not_flagged(self):
         sel = np.array([0.4, 0.6])
@@ -713,10 +701,9 @@ def test_float_branches_and_gap_are_the_array_ones_bit_for_bit(kind, seed, bound
     assert gap == tuple(expected_gap.tolist())
     assert np.array(branches).tobytes() == expected.tobytes()  # -0.0 too
     assert np.array(gap).tobytes() == expected_gap.tobytes()
-    for tolerance in (0.0, DEFAULT_SENSITIVITY_TOLERANCE, 1e-3):
-        assert is_contextually_sensitive(stats, tolerance) == (
-            float(np.max(np.abs(expected_gap))) > tolerance
-        )
+    sensitive = is_contextually_sensitive(stats)
+    assert type(sensitive) is bool
+    assert sensitive == (float(np.max(np.abs(expected_gap))) > DEFAULT_SENSITIVITY_TOLERANCE)
 
 
 class TestMeasurementDistribution:

@@ -1,5 +1,7 @@
+import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,9 @@ from contextprob import (
     branch_probabilities,
     classify,
     contextual_statistics,
+    emit_report,
+    load_model,
+    load_report,
     phases,
 )
 from contextprob.interference import _sqrt_product
@@ -28,6 +33,9 @@ from synth import (
     random_perturbed_model,
     random_trigonometric_statistics,
 )
+
+
+PERTURBED = Path(__file__).resolve().parent.parent / "example_models" / "perturbed.json"
 
 
 def half_half_statistics():
@@ -322,3 +330,61 @@ class TestAgainstBruteForce:
             lam_1, lam_2 = coefficients(stats)
             assert lam_1 == pytest.approx(expected[0], abs=1e-12)
             assert lam_2 == pytest.approx(expected[1], abs=1e-12)
+
+
+class TestOneToleranceRule:
+    """``classify``, a model's ``options`` and a report's ``interference`` share one rule."""
+
+    PATHS = {
+        "classify": None,
+        "model": "options.classify_tolerance",
+        "report": "interference.classify_tolerance",
+    }
+
+    @staticmethod
+    def use(entry, tolerance):
+        if entry == "classify":
+            return classify(0.5, tolerance)
+        if entry == "model":
+            doc = json.loads(PERTURBED.read_text())
+            doc["options"]["classify_tolerance"] = tolerance
+            return load_model(json.dumps(doc))  # json writes NaN and Infinity
+        doc = json.loads(emit_report(analyze_statistics(half_half_statistics())))
+        doc["interference"]["classify_tolerance"] = tolerance
+        return load_report(json.dumps(doc))
+
+    @pytest.mark.parametrize("entry", sorted(PATHS))
+    @pytest.mark.parametrize("tolerance", [0, 0.0, 1e-9, 0.25])
+    def test_zero_or_more_is_accepted(self, entry, tolerance):
+        self.use(entry, tolerance)
+
+    @pytest.mark.parametrize("entry", sorted(PATHS))
+    @pytest.mark.parametrize("tolerance", [-1e-9, -math.inf, math.inf, math.nan])
+    def test_negative_or_not_finite_is_refused_in_one_message(self, entry, tolerance):
+        with pytest.raises(InvariantViolation) as info:
+            self.use(entry, tolerance)
+        path = self.PATHS[entry]
+        assert info.value.path == path
+        assert str(info.value) == "".join([
+            "" if path is None else f"{path}: ",
+            f"classify tolerance must be finite and not negative, got {tolerance!r}",
+        ])
+
+    @pytest.mark.parametrize("entry", ["model", "report"])
+    @pytest.mark.parametrize(
+        "tolerance, message",
+        [
+            (True, "expected a number, got True"),
+            ("1e-9", "expected a number, got '1e-9'"),
+            (None, "expected a number, got None"),
+            ([1e-9], f"expected a number, got {[1e-9]!r}"),
+            (10**400, "number is too large for a float"),
+        ],
+        ids=["true", "string", "null", "list", "10**400"],
+    )
+    def test_a_document_value_that_is_not_a_number_is_refused_at_its_path(
+        self, entry, tolerance, message
+    ):
+        with pytest.raises(InvariantViolation) as info:
+            self.use(entry, tolerance)
+        assert str(info.value) == f"{self.PATHS[entry]}: {message}"
