@@ -26,7 +26,9 @@ from .prespace import (
     Prespace,
     RandomVariable,
     _built,
+    _check_image,
     _check_normalized,
+    _check_variable,
     _checked_int,
     _checked_reals,
     _set,
@@ -107,19 +109,27 @@ def transition_probabilities(
 ) -> np.ndarray:
     """Matrix of outcome probabilities after selecting each selector value.
 
-    Row ``i`` is :func:`measurement_distribution` of the outcome variable
+    Row ``i`` equals :func:`measurement_distribution` of the outcome variable
     with the context filtered to selector value ``i`` and the kernel (if
-    any) applied.  Raises :class:`DegenerateContext` when some selector
-    value has no weight in the context.
+    any) applied: the weights of :func:`filter_context`'s members over their
+    sum, through :func:`apply_kernel` on its own, then one ``bincount`` of
+    the outcome's codes.  Raises :class:`DegenerateContext` when some
+    selector value has no weight in the context.
     """
-    return np.array(
-        [
-            measurement_distribution(
-                space, context, outcome, kernel, selector, value
+    n, k = space.size, len(outcome.alphabet)
+    rows = []
+    for value in selector.alphabet:
+        kept = filter_context(space, context, selector, value).indices
+        weights = space.weights[kept]
+        row = np.zeros(n)
+        row[kept] = weights / float(weights.sum())
+        if kernel is not None:
+            row = apply_kernel(
+                space, _built(Distribution, support=space.points, masses=row), kernel
             ).masses
-            for value in selector.alphabet
-        ]
-    )
+        _check_image(outcome, n)  # where pushforward would refuse it
+        rows.append(np.bincount(outcome.codes, weights=row, minlength=k))
+    return np.array(rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,15 +226,20 @@ def contextual_statistics(
                 f"{role} variable {variable.name!r} must take exactly 2 values, "
                 f"found {len(variable.alphabet)}"
             )
-    selector_marginals = variable_distribution(space, selector, context)
-    outcome_marginals = variable_distribution(space, outcome, context)
+    # Conditioned once; each marginal is a bincount of its codes over the
+    # same masses, as variable_distribution gives it.  The refusals keep the
+    # order of two variable_distribution calls: the selector's length, the
+    # context, the outcome's length.
+    _check_variable(space, selector)
+    conditional = conditional_distribution(space, context).masses
+    _check_variable(space, outcome)
     transition = transition_probabilities(space, context, selector, outcome, kernel)
     return _built(
         ContextualStatistics,
         selector_labels=selector.alphabet,
         outcome_labels=outcome.alphabet,
-        selector_marginals=selector_marginals.masses,
-        outcome_marginals=outcome_marginals.masses,
+        selector_marginals=np.bincount(selector.codes, weights=conditional, minlength=2),
+        outcome_marginals=np.bincount(outcome.codes, weights=conditional, minlength=2),
         transition=transition,
     )
 
@@ -251,7 +266,8 @@ def measurement_distribution(
     """Exact outcome distribution for one measurement configuration.
 
     Optionally filters the context on a selector value first and applies a
-    disturbance kernel before reading off the variable.  This is the
+    disturbance kernel before reading off the variable; without a kernel it
+    is :func:`variable_distribution` in the (filtered) context.  This is the
     distribution that :func:`sample_frequencies` draws from.
     """
     # None is a legitimate selector value when the selector takes it.
@@ -263,10 +279,10 @@ def measurement_distribution(
         )
     if selector is not None:
         context = filter_context(space, context, selector, selector_value)
-    conditional = conditional_distribution(space, context)
-    if kernel is not None:
-        conditional = apply_kernel(space, conditional, kernel)
-    return pushforward(variable, conditional)
+    if kernel is None:
+        return variable_distribution(space, variable, context)
+    disturbed = apply_kernel(space, conditional_distribution(space, context), kernel)
+    return pushforward(variable, disturbed)
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,6 +30,7 @@ from typing import Hashable
 # branch_probabilities is re-exported: callers may import it from either module
 from .dynamics import ContextualStatistics, _branches_and_gap, branch_probabilities
 from .errors import InvariantViolation, NoPhase
+from .prespace import _shown
 
 DEFAULT_CLASSIFY_TOLERANCE = 1e-9
 
@@ -68,10 +69,18 @@ def _finite(coefficient: float) -> float:
 
 
 def _check_tolerance(tolerance: float, path: str | None = None) -> None:
-    """Refuse a classify tolerance that is negative or not finite, at ``path`` if given."""
-    if not (math.isfinite(tolerance) and tolerance >= 0):
+    """Refuse a classify tolerance that is negative or not finite, at ``path`` if given.
+
+    An integer beyond float range is not finite as a float, so it is refused too.
+    """
+    try:
+        usable = math.isfinite(tolerance) and tolerance >= 0
+    except OverflowError:  # an integer too large for a float
+        usable = False
+    if not usable:
         raise InvariantViolation(
-            f"classify tolerance must be finite and not negative, got {tolerance!r}", path=path
+            f"classify tolerance must be finite and not negative, got {_shown(tolerance)}",
+            path=path,
         )
 
 

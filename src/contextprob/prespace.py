@@ -82,7 +82,12 @@ class _Stored:
 
 def _shown(value) -> str:
     """``repr(value)`` for a diagnostic, shortened by ``reprlib`` when it is long."""
-    text = repr(value)
+    try:
+        text = repr(value)
+    except ValueError:  # an int with more digits than int-to-str conversion allows
+        if not isinstance(value, int):
+            raise
+        return f"an integer of {value.bit_length()} bits"
     return text if len(text) <= _SHOWN_LIMIT else reprlib.repr(value)
 
 
@@ -427,14 +432,18 @@ def conditional_distribution(space: Prespace, context: Context) -> Distribution:
     return _built(Distribution, support=space.points, masses=masses)
 
 
-def pushforward(variable: RandomVariable, distribution: Distribution) -> Distribution:
-    """Image of a point distribution under the variable's value map."""
-    size = len(distribution.support)
+def _check_image(variable: RandomVariable, size: int) -> None:
+    """Refuse a variable whose values do not cover a distribution on ``size`` points."""
     if size != len(variable.values):
         raise InvariantViolation(
             f"distribution on {size} points does not match variable "
             f"{variable.name!r} on {len(variable.values)} points"
         )
+
+
+def pushforward(variable: RandomVariable, distribution: Distribution) -> Distribution:
+    """Image of a point distribution under the variable's value map."""
+    _check_image(variable, len(distribution.support))
     image = np.bincount(
         variable.codes, weights=distribution.masses, minlength=len(variable.alphabet)
     )

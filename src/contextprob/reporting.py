@@ -153,9 +153,9 @@ def emit_report(report: AnalysisReport) -> bytes:
         f'  "schema": {REPORT_SCHEMA},\n'
         f'  "seed": {_encode(report.seed, 1)},\n'
         '  "statistics": {\n'
-        f'    "outcome_labels": {_encode(list(stats.outcome_labels), 2)},\n'
+        f'    "outcome_labels": {_encode(stats.outcome_labels, 2)},\n'
         f'    "outcome_marginals": {_encode_array(stats.outcome_marginals.tolist(), 2)},\n'
-        f'    "selector_labels": {_encode(list(stats.selector_labels), 2)},\n'
+        f'    "selector_labels": {_encode(stats.selector_labels, 2)},\n'
         f'    "selector_marginals": {_encode_array(stats.selector_marginals.tolist(), 2)},\n'
         f'    "transition": {_encode_array(stats.transition.tolist(), 2)}\n'
         "  },\n"
@@ -281,15 +281,17 @@ def canonical_json(value: Any) -> str:
 
 
 def _encode(value: Any, level: int) -> str:
-    # Exact types first: a report's values are almost all floats, strings and arrays.
+    # Exact types first: a report's values are almost all floats, strings, arrays and ints.
     # A non-finite float falls through to the float branch, which refuses it.
     kind = type(value)
     if kind is float and math.isfinite(value):
         return format(value + 0.0, ".17g")
     if kind is str:
         return encode_basestring_ascii(value)
-    if kind is list:
+    if kind is list or kind is tuple:
         return _encode_array(value, level)
+    if kind is int:
+        return str(value)
     if value is None:
         return "null"
     if isinstance(value, (bool, np.bool_)):

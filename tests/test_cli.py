@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import contextprob.cli
 from contextprob import analyze_model, emit_report, load_model
 from contextprob.cli import main
 
@@ -645,3 +647,44 @@ class TestByteFuzz:
         else:
             assert out == b""
             assert err.startswith(b"error: ") and err.count(b"\n") == 1
+
+
+def _perfbench_spans():
+    """``perfbench/spans.py``, loaded from its file without adding it to the path."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", EXAMPLES.parent / "perfbench" / "spans.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_stage_is_reached_by_the_examples(capsysbinary):
+    """The benchmark's traced run takes a stage's figures from a run of
+    ``cli.main`` over the examples when its own operations skip that stage,
+    so each stage it traces must be called there."""
+    spans = _perfbench_spans()
+    argvs = []
+    for name in MODEL_NAMES:
+        model = str(EXAMPLES / f"{name}.json")
+        argvs += [["analyze", "--model", model], ["validate", "--model", model]]
+    argvs += [["analyze", "--table", str(EXAMPLES / f"{name}.csv")] for name in TABLE_NAMES]
+    argvs.append(
+        ["sample", "--model", str(EXAMPLES / "classical.json"), "--variable", "screen",
+         "--n", "1000"]
+    )
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        codes = [contextprob.cli.main(argv) for argv in argvs]  # the traced main
+    finally:
+        tracer.uninstall()
+    capsysbinary.readouterr()
+    assert codes == [0] * len(argvs)
+    expected = {
+        f"{module}.{function}"
+        for module, functions in spans.TARGETS.items()
+        for function in functions
+    } | {"model_io.json_loads", "model_io.effective_kernel"}
+    assert sorted(expected - set(tracer.names)) == []
+    assert contextprob.cli.main is main  # the originals are back

@@ -726,6 +726,124 @@ class TestMeasurementDistribution:
             measurement_distribution(space, context, outcome, selector=selector)
 
 
+def _faulty(fault, kernel):
+    """Arguments of contextual_statistics for the four-point model with one fault."""
+    space, selector, outcome, context = four_point_model()
+    kernel = PerturbationKernel.identity(4) if kernel else None
+    if fault == "absent selector value":
+        context = Context([0, 1])  # only 'left' points
+    elif fault == "weightless selector value":
+        space = Prespace(space.points, [0.5, 0.5, 0.0, 0.0])
+    elif fault == "short selector":
+        selector = RandomVariable("path", ["left", "left", "right"])
+    elif fault == "short outcome":
+        outcome = RandomVariable("screen", ["up", "down", "up"])
+    elif fault == "small kernel":
+        kernel = PerturbationKernel.identity(3)
+    return space, context, selector, outcome, kernel
+
+
+_ABSENT = "no points with 'path' = 'right' in the context"
+_WEIGHTLESS = "points with 'path' = 'right' carry zero weight in the context"
+_SHORT_SELECTOR = "variable 'path' has 3 values for a space of 4 points"
+_SHORT_OUTCOME = "variable 'screen' has 3 values for a space of 4 points"
+_UNMATCHED_OUTCOME = "distribution on 4 points does not match variable 'screen' on 3 points"
+_SMALL_KERNEL = "kernel of size 3 does not match a space of 4 points"
+
+
+class TestOnePassStatistics:
+    """contextual_statistics conditions once; variable_distribution and
+    measurement_distribution are the references it must meet."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["none", "identity", "random"]),
+        auto_named=st.booleans(),
+        full_context=st.booleans(),
+        numeric=st.booleans(),
+    )
+    def test_statistics_equal_the_references_byte_for_byte(
+        self, seed, kind, auto_named, full_context, numeric
+    ):
+        rng = np.random.default_rng(seed)
+        # a context of more than four points leaves out about half of the rest
+        space, selector, outcome, context = random_space(rng, max_points=24, numeric=numeric)
+        if auto_named:
+            space = Prespace.from_weights(space.weights)
+        if full_context:
+            context = Context.full(space)
+        kernel = {
+            "none": None,
+            "identity": PerturbationKernel.identity(space.size),
+            "random": random_kernel(rng, space.size),
+        }[kind]
+        stats = contextual_statistics(space, context, selector, outcome, kernel)
+        for marginals, variable in (
+            (stats.selector_marginals, selector),
+            (stats.outcome_marginals, outcome),
+        ):
+            expected = variable_distribution(space, variable, context).masses
+            assert marginals.tobytes() == expected.tobytes()
+        assert stats.transition.shape == (2, 2)
+        for row, value in zip(stats.transition, selector.alphabet):
+            expected = measurement_distribution(space, context, outcome, kernel, selector, value)
+            assert row.tobytes() == expected.masses.tobytes()
+
+    @pytest.mark.parametrize("kernel", [False, True], ids=["no kernel", "kernel"])
+    @pytest.mark.parametrize(
+        "fault, error, statistics, rows, selected",
+        [
+            ("absent selector value", DegenerateContext, _ABSENT, _ABSENT, _ABSENT),
+            ("weightless selector value", DegenerateContext, _WEIGHTLESS, _WEIGHTLESS, _WEIGHTLESS),
+            ("short selector", InvariantViolation, _SHORT_SELECTOR, _SHORT_SELECTOR, _SHORT_SELECTOR),
+            ("short outcome", InvariantViolation, _SHORT_OUTCOME, _UNMATCHED_OUTCOME, None),
+        ],
+        ids=["absent", "weightless", "short selector", "short outcome"],
+    )
+    def test_each_fault_keeps_its_class_and_message(
+        self, fault, error, statistics, rows, selected, kernel
+    ):
+        space, context, selector, outcome, kernel = _faulty(fault, kernel)
+        # a kernel-free measurement is variable_distribution, which checks the
+        # variable's length first, in its own words
+        if selected is None:
+            selected = _SHORT_OUTCOME if kernel is None else _UNMATCHED_OUTCOME
+        calls = [
+            (statistics, lambda: contextual_statistics(space, context, selector, outcome, kernel)),
+            (rows, lambda: transition_probabilities(space, context, selector, outcome, kernel)),
+            (selected, lambda: measurement_distribution(
+                space, context, outcome, kernel, selector, "right"
+            )),
+        ]
+        for message, call in calls:
+            with pytest.raises(error) as info:
+                call()
+            assert type(info.value) is error and str(info.value) == message
+
+    def test_a_kernel_of_the_wrong_size_keeps_its_class_and_message(self):
+        space, context, selector, outcome, kernel = _faulty("small kernel", True)
+        for call in (
+            lambda: contextual_statistics(space, context, selector, outcome, kernel),
+            lambda: transition_probabilities(space, context, selector, outcome, kernel),
+            lambda: measurement_distribution(space, context, outcome, kernel, selector, "right"),
+            lambda: measurement_distribution(space, context, outcome, kernel),
+        ):
+            with pytest.raises(InvariantViolation) as info:
+                call()
+            assert str(info.value) == _SMALL_KERNEL
+
+    def test_an_undisturbed_measurement_refuses_a_short_variable_as_variable_distribution(self):
+        space, context, _, outcome, _ = _faulty("short outcome", False)
+        for call in (
+            lambda: measurement_distribution(space, context, outcome),
+            lambda: variable_distribution(space, outcome, context),
+        ):
+            with pytest.raises(InvariantViolation) as info:
+                call()
+            assert str(info.value) == _SHORT_OUTCOME
+
+
 class TestSampleFrequencies:
     def test_single_draw(self):
         space, _, outcome, context = four_point_model()

@@ -114,12 +114,28 @@ class TestClassify:
         with pytest.raises(InvariantViolation):
             classify(float("inf"))
 
-    @pytest.mark.parametrize("tolerance", [-1.0, math.nan])
+    @pytest.mark.parametrize(
+        "tolerance", [-1.0, math.nan, 10**400], ids=["negative", "nan", "10**400"]
+    )
     def test_a_tolerance_it_cannot_use_is_refused(self, tolerance):
         with pytest.raises(
             InvariantViolation, match="classify tolerance must be finite and not negative"
         ):
             classify(0.5, tolerance)
+
+    @pytest.mark.parametrize(
+        "tolerance, shown",
+        [
+            (10**400, f"1{'0' * 17}...{'0' * 19}"),  # 401 digits, shortened
+            (-(10**5000), "an integer of 16610 bits"),  # too long for str() at all
+        ],
+        ids=["10**400", "-10**5000"],
+    )
+    def test_an_integer_beyond_float_range_is_refused_in_the_one_message(self, tolerance, shown):
+        # math.isfinite raises OverflowError on such an integer
+        with pytest.raises(InvariantViolation) as info:
+            classify(0.5, tolerance)
+        assert str(info.value) == f"classify tolerance must be finite and not negative, got {shown}"
 
     @given(
         coefficient=st.floats(-3.0, 3.0, allow_nan=False),
@@ -218,6 +234,13 @@ class TestReport:
         options = AnalysisOptions(classify_tolerance=-0.5)
         with pytest.raises(InvariantViolation, match="not negative, got -0.5"):
             analyze_statistics(stats, options)
+
+    def test_an_integer_beyond_float_range_is_refused_by_the_analysis(self):
+        options = AnalysisOptions(classify_tolerance=10**400)
+        with pytest.raises(
+            InvariantViolation, match="^classify tolerance must be finite and not negative, got 1000"
+        ):
+            analyze_statistics(half_half_statistics(), options)
 
     @pytest.mark.parametrize("tolerance", [0, 0.0, -0.0, 0.25])
     def test_zero_or_positive_tolerance_is_kept(self, tolerance):

@@ -1212,6 +1212,7 @@ class TestCanonicalJson:
     @example(document=[0.5, -0.0])  # a float run to the end, a negative zero in it
     @example(document=[0.5, -0.0, math.nan])
     @example(document=[0.5, [-0.0]])
+    @example(document=((0.5, -0.25), (1, 10**30), (True, -2)))  # a report's components, and ints
     def test_matches_the_reference_encoder(self, document):
         assert _outcome(canonical_json, document) == _outcome(
             lambda value: _reference_encode(value, 0), document
