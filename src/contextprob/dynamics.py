@@ -32,6 +32,7 @@ from .prespace import (
     _checked_int,
     _checked_reals,
     _set,
+    _shown,
     _Stored,
     conditional_distribution,
     filter_context,
@@ -161,7 +162,7 @@ class ContextualStatistics(_Stored):
             if len(labels) != 2 or len(set(labels)) != 2:
                 raise TypeMismatch(
                     f"{side} variable must take exactly 2 distinct values, "
-                    f"got {labels!r}"
+                    f"got {_shown(labels)}"
                 )
         sel = _checked_reals(selector_marginals, "selector marginals")
         out = _checked_reals(outcome_marginals, "outcome marginals")
@@ -312,7 +313,7 @@ class FrequencyTable(_Stored):
             raise InvariantViolation("counts must be non-negative")
         total = _checked_sample_count(total)  # so each count fits in int64
         if sum(counts) != total:
-            raise InvariantViolation(f"counts sum to {sum(counts)}, expected total {total}")
+            raise InvariantViolation(f"counts sum to {_shown(sum(counts))}, expected total {total}")
         counts = np.array(counts, dtype=np.int64)
         _set(self, support=support, counts=counts, total=total, seed=_checked_seed(seed))
 

@@ -12,6 +12,7 @@ its location in the document.
 
 from __future__ import annotations
 
+import array
 import csv
 import io
 import itertools
@@ -227,14 +228,8 @@ def load_model(data: bytes | str) -> ExperimentModel:
     if raw_kernel is not None:
         if not isinstance(raw_kernel, list) or len(raw_kernel) != size:
             _fail("kernel", f"expected {size} rows")
-        # Checked and converted whole; walked to the first bad row only when that fails.
-        matrix = None
-        rows_fit = all(isinstance(row, list) and len(row) == size for row in raw_kernel)
-        if rows_fit and _real_types(set(map(type, itertools.chain.from_iterable(raw_kernel)))):
-            try:
-                matrix = np.array(raw_kernel, dtype=float)
-            except OverflowError:  # an integer too large for a float; the walk names it
-                pass
+        # Converted whole; walked to the first bad row only when that fails.
+        matrix = _kernel_matrix(raw_kernel, size)
         if matrix is None:
             for i, row in enumerate(raw_kernel):
                 if not isinstance(row, list) or len(row) != size:
@@ -254,6 +249,31 @@ def load_model(data: bytes | str) -> ExperimentModel:
         outcome_name=outcome_name,
         options=options,
     )
+
+
+def _kernel_matrix(rows: list, size: int) -> np.ndarray | None:
+    """A parsed kernel as the float matrix ``np.array(rows, dtype=float)``;
+    None when a row does not fit or an entry is not a number that fits a float.
+
+    ``array.array`` converts each row in one pass and stops at text, null, a
+    list, an object or an integer too large for a float, so no array is sized
+    by a bad entry.  It takes a bool as 0 or 1, so entry types are read only in
+    the rows holding a 0 or a 1.  That suffices for JSON values only: a
+    library caller's row could hold any object with ``__float__``.
+    """
+    if not all(isinstance(row, list) and len(row) == size for row in rows):
+        return None
+    flat = array.array("d")
+    try:
+        for row in rows:
+            flat.fromlist(row)
+    except (TypeError, OverflowError):
+        return None
+    matrix = np.frombuffer(flat).reshape(size, size)
+    marked = ((matrix == 0.0) | (matrix == 1.0)).any(axis=1).tolist()
+    if all(_real_types(set(map(type, row))) for row in itertools.compress(rows, marked)):
+        return matrix
+    return None
 
 
 def _load_options(raw: Any) -> AnalysisOptions:

@@ -80,15 +80,31 @@ class _Stored:
         _set(self, **state)
 
 
+class _ShortRepr(reprlib.Repr):
+    """``reprlib``'s shortened repr, which names an integer too long for
+    ``repr`` by its bit length wherever it is nested."""
+
+    def repr_int(self, x, level):
+        try:
+            return super().repr_int(x, level)
+        except ValueError:  # more digits than int-to-str conversion allows
+            return f"an integer of {x.bit_length()} bits"
+
+
+_SHORT_REPR = _ShortRepr()
+
+
 def _shown(value) -> str:
-    """``repr(value)`` for a diagnostic, shortened by ``reprlib`` when it is long."""
+    """``repr(value)`` for a diagnostic, shortened by ``reprlib`` when it is long.
+
+    An integer with more digits than int-to-str conversion allows is named by
+    its bit length, alone or inside a container, so no diagnostic fails on it.
+    """
     try:
         text = repr(value)
-    except ValueError:  # an int with more digits than int-to-str conversion allows
-        if not isinstance(value, int):
-            raise
-        return f"an integer of {value.bit_length()} bits"
-    return text if len(text) <= _SHOWN_LIMIT else reprlib.repr(value)
+    except ValueError:
+        return _SHORT_REPR.repr(value)
+    return text if len(text) <= _SHOWN_LIMIT else _SHORT_REPR.repr(value)
 
 
 def _index_of(entries: tuple, value, where: str) -> int:
@@ -296,10 +312,16 @@ class RandomVariable(_Stored):
     def __init__(self, name: str, values: Sequence[Hashable]):
         values = tuple(values)
         if not values:
-            raise InvariantViolation(f"variable {name!r} needs at least one value")
+            raise InvariantViolation(f"variable {_shown(name)} needs at least one value")
+        try:
+            name = str(name)
+        except ValueError:  # an int with more digits than int-to-str conversion allows
+            raise InvariantViolation(
+                f"a variable name must have a text form, got {_shown(name)}"
+            ) from None
         index = {v: i for i, v in enumerate(dict.fromkeys(values))}
         codes = np.fromiter(map(index.__getitem__, values), np.intp, len(values))
-        _set(self, name=str(name), values=values, alphabet=tuple(index), codes=codes)
+        _set(self, name=name, values=values, alphabet=tuple(index), codes=codes)
 
     @property
     def is_numeric(self) -> bool:
@@ -346,7 +368,9 @@ class Context(_Stored):
         if cleaned[0] < 0:
             raise InvariantViolation("context members must be non-negative indices")
         if cleaned[-1] > _INTP_MAX:
-            raise InvariantViolation(f"context member {cleaned[-1]} is out of range for an index")
+            raise InvariantViolation(
+                f"context member {_shown(cleaned[-1])} is out of range for an index"
+            )
         _set(self, indices=np.array(cleaned, dtype=np.intp))
 
     @classmethod
@@ -510,11 +534,11 @@ def filter_context(
     kept = members[variable.codes[members] == code]
     if kept.size == 0:
         raise DegenerateContext(
-            f"no points with {variable.name!r} = {value!r} in the context"
+            f"no points with {variable.name!r} = {_shown(value)} in the context"
         )
     if float(space.weights[kept].sum()) <= 0.0:
         raise DegenerateContext(
-            f"points with {variable.name!r} = {value!r} carry zero weight "
+            f"points with {variable.name!r} = {_shown(value)} carry zero weight "
             "in the context"
         )
     return _built(Context, indices=kept)

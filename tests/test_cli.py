@@ -161,6 +161,18 @@ class TestAnalyze:
         assert (code, out) == (2, b"")
         assert err.startswith(f"error: {location}: ".encode()) and err.count(b"\n") == 1
 
+    @pytest.mark.parametrize(
+        "entry, total", [(2**64, "1.8446744073709552e+19"), (10**30, "1e+30")]
+    )
+    def test_kernel_integer_beyond_int64_exits_2_at_its_row(
+        self, entry, total, tmp_path, capsysbinary
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(_edited("perturbed.json", kernel=lambda k: [[entry] + k[0][1:]] + k[1:]))
+        code, out, err = run(["analyze", "--model", str(bad)], capsysbinary)
+        assert (code, out) == (2, b"")
+        assert err == f"error: kernel.row[0]: row must sum to 1 within 1e-12, got {total}\n".encode()
+
     def test_deeply_nested_model_exits_2(self, tmp_path):
         # A fresh interpreter, as a user runs it: the parser's recursion error must not escape.
         bad = tmp_path / "nested.json"

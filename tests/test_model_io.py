@@ -26,7 +26,7 @@ from contextprob import (
     load_model,
     load_report,
 )
-from contextprob.prespace import _AutoNames
+from contextprob.prespace import _AutoNames, _check_normalized, _shown
 
 from synth import (
     coefficients,
@@ -137,6 +137,65 @@ def _corrupted_identity_kernels(draw):
         column = min(j for i, j, kind in faults if i == first and kind in _BAD_ENTRIES)
         path = f"kernel.row[{first}][{column}]"
     return n, kernel, path
+
+
+# Values a parsed kernel entry can take besides a number that fits a float.
+_ODD_ENTRIES = [True, False, None, "0.5", "x", [0.5], [], {}, 2**63, 2**64, -(2**63) - 1, 10**30, 10**400]
+
+
+@st.composite
+def _kernels_with_an_odd_entry(draw):
+    """A stochastic kernel of 2 to 10 points, dense or a permutation, with its
+    integral entries written as JSON integers at random and at most one entry
+    replaced by one of ``_ODD_ENTRIES``."""
+    n = draw(st.integers(2, 10))
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        kernel = [[rng.uniform(0.05, 1.0) for _ in range(n)] for _ in range(n)]
+        kernel = [[entry / sum(row) for entry in row] for row in kernel]
+    else:
+        kernel = np.eye(n)[draw(st.permutations(range(n)))].tolist()
+    share = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    kernel = [
+        [int(entry) if entry.is_integer() and rng.random() < share else entry for entry in row]
+        for row in kernel
+    ]
+    if draw(st.booleans()):
+        kernel[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(
+            st.sampled_from(_ODD_ENTRIES)
+        )
+    return n, kernel
+
+
+def _reference_kernel(rows, size):
+    """A parsed kernel judged by the set of its entry types and converted by
+    ``np.array(rows, dtype=float)``, or walked to its first bad entry: the float
+    matrix, or the :class:`InvariantViolation` that ``load_model`` raises."""
+    if all(isinstance(row, list) and len(row) == size for row in rows) and set(
+        map(type, itertools.chain.from_iterable(rows))
+    ) <= {int, float}:
+        try:
+            matrix = np.array(rows, dtype=float)
+        except OverflowError:
+            pass
+        else:
+            try:
+                _check_normalized(matrix, "kernel")
+            except InvariantViolation as exc:
+                return exc
+            return matrix
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != size:
+            return InvariantViolation(f"expected {size} entries", path=f"kernel.row[{i}]")
+        for j, entry in enumerate(row):
+            path = f"kernel.row[{i}][{j}]"
+            if type(entry) not in (int, float):
+                return InvariantViolation(f"expected a number, got {_shown(entry)}", path=path)
+            try:
+                float(entry)
+            except OverflowError:
+                return InvariantViolation("number is too large for a float", path=path)
+    raise AssertionError("a kernel that failed its type check has no bad entry")
 
 
 # Entries are multiples of 2**-52 below 2, so every partial sum is exact and
@@ -478,6 +537,20 @@ class TestLoadModel:
             pytest.param(
                 identity_kernel((1, 1, 0.9), (3, 3, 0.5)), "kernel.row[1]", id="row-sum"
             ),
+            # integers a float holds, though no int64 does: refused by their row's sum
+            pytest.param(identity_kernel((1, 2, 2**64)), "kernel.row[1]", id="integer-2**64"),
+            pytest.param(identity_kernel((1, 2, 10**30)), "kernel.row[1]", id="integer-10**30"),
+            pytest.param(
+                [[2**63 if (i, j) == (1, 2) else int(i == j) for j in range(4)] for i in range(4)],
+                "kernel.row[1]",
+                id="integer-2**63-in-an-integer-identity",
+            ),
+            pytest.param(
+                [[True if (i, j) == (1, 2) else 0.25 for j in range(4)] for i in range(4)],
+                "kernel.row[1][2]",
+                id="true-in-a-dense-row",
+            ),
+            pytest.param([[[0.25] * 4] * 4] * 4, "kernel.row[0][0]", id="three-levels"),
         ],
     )
     def test_kernel_row_is_named_in_diagnostics(self, kernel, path):
@@ -517,6 +590,10 @@ class TestLoadModel:
                 id="mixed-int-float",
             ),
             pytest.param(model_text(kernel=identity_kernel((1, 2, -0.0))), id="negative-zero"),
+            pytest.param(
+                json.dumps(uniform_model(30, np.eye(30, dtype=int).tolist())),
+                id="integer-identity",
+            ),
         ],
     )
     def test_loaded_kernel_is_the_documents_matrix(self, raw):
@@ -540,6 +617,37 @@ class TestLoadModel:
         load_model(raw)  # the first call also allocates one-off state
         # Parsing holds the text and the document together; loading should hold no more.
         assert peak(load_model) <= 1.05 * peak(lambda raw: json.loads(raw.decode()))
+
+    @given(case=_kernels_with_an_odd_entry())
+    @settings(max_examples=300, deadline=None)
+    def test_a_kernel_loads_as_the_whole_type_check_and_walk_judge_it(self, case):
+        n, kernel = case
+        raw = json.dumps(uniform_model(n, kernel))
+        expected = _reference_kernel(json.loads(raw)["kernel"], n)
+        try:
+            matrix = load_model(raw).kernel.matrix
+        except InvariantViolation as exc:
+            assert type(expected) is InvariantViolation
+            assert (exc.path, str(exc)) == (expected.path, str(expected))
+        else:
+            assert type(expected) is np.ndarray
+            assert matrix.dtype == expected.dtype and matrix.tobytes() == expected.tobytes()
+
+    def test_a_long_string_in_a_kernel_is_refused_within_the_documents_memory(self):
+        # A conversion whose dtype numpy infers would hold every entry as a
+        # string of this length: 60 * 60 * 4 * 2000 bytes, 29 MB.
+        kernel = np.full((60, 60), 1 / 60).tolist()
+        kernel[59][59] = "x" * 2000
+        raw = json.dumps(uniform_model(60, kernel)).encode()
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvariantViolation) as info:
+                load_model(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.path == "kernel.row[59][59]"
+        assert peak < 4 * len(raw) + 1_000_000
 
     @pytest.mark.parametrize("n", [2000, 4000])
     def test_loading_a_kernel_free_document_makes_no_per_point_objects(self, n):

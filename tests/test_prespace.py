@@ -1,9 +1,13 @@
 import copy
 import dataclasses
 import math
+import numbers
 import pickle
 import re
+import reprlib
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -659,3 +663,148 @@ def test_a_vector_is_judged_as_a_one_row_matrix(vector, tolerance):
         path, message = full
         assert path == "weights.row[0]"
         assert found == (None, message.replace("weights.row[0]: row", "weights", 1))
+
+
+# Converters that write one entry of a nested row as another type of the same
+# value; only the real-number types among them are taken.
+_SAME_VALUE_AS = [
+    float,
+    np.float32,
+    np.longdouble,
+    Fraction,
+    Decimal,
+    str,
+    np.array,
+    np.bool_,
+    bool,
+    lambda value: None,
+    lambda value: int(value) if type(value) is float and value.is_integer() else value,
+]
+
+_STOCHASTIC_ROWS = [
+    [[0.25, 0.75], [0.5, 0.5]],
+    [[1.0, 0.0], [0.0, 1.0]],
+    [[1.0, 0.0], [0.375, 0.625]],
+    [[0.5, 0.25, 0.25], [0.0, 1.0, 0.0], [0.125, 0.375, 0.5]],
+]
+
+
+def _whole_rule(rows, noun):
+    """Nested rows judged by the type of every entry, as a library caller's always
+    are: the float array, or the message of the refusal."""
+    try:
+        nested = np.array(rows, dtype=object)
+        if all(
+            issubclass(t, numbers.Real) and not issubclass(t, (bool, np.bool_))
+            for t in set(map(type, nested.flat))
+        ):
+            return nested.astype(float)
+    except (ValueError, OverflowError):
+        pass
+    return f"{noun} must be real numbers, got {reprlib.repr(rows)}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.sampled_from(_STOCHASTIC_ROWS),
+    cells=st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.sampled_from(_SAME_VALUE_AS)),
+        max_size=2,
+    ),
+)
+def test_nested_rows_are_judged_by_the_type_of_every_entry(rows, cells):
+    base, rows = rows, [list(row) for row in rows]
+    for i, j, convert in cells:
+        if i < len(rows) and j < len(rows):
+            rows[i][j] = convert(base[i][j])
+    builds = [(lambda r: PerturbationKernel(r).matrix, "kernel")]
+    if len(rows) == 2:
+        builds.append(
+            (lambda r: ContextualStatistics("ab", "xy", [0.5, 0.5], [0.5, 0.5], r).transition, "transition")
+        )
+    for build, noun in builds:
+        expected = _whole_rule(rows, noun)
+        if isinstance(expected, str):
+            with pytest.raises(InvariantViolation) as info:
+                build(rows)
+            assert (info.value.path, str(info.value)) == (None, expected)
+        else:
+            # An array is judged by its dtype, then checked for shape and sums.
+            assert _outcome(lambda: build(rows)) == _outcome(lambda: build(expected))
+
+
+def _outcome(build):
+    try:
+        matrix = build()
+    except InvariantViolation as exc:
+        return exc.path, str(exc)
+    return matrix.dtype, matrix.tobytes()
+
+
+_HUGE = 10**5000  # more digits than int-to-str conversion allows
+
+
+def _zero_weight_filter():
+    space = Prespace(["a", "b", "c"], [0.5, 0.5, 0.0])
+    values = RandomVariable("v", [1, 2, _HUGE])
+    return filter_context(space, Context([0, 1, 2]), values, _HUGE)
+
+
+def _absent_filter():
+    space = Prespace(["a", "b", "c"], [0.5, 0.5, 0.0])
+    values = RandomVariable("v", [1, 2, _HUGE])
+    return filter_context(space, Context([0, 1]), values, _HUGE)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        pytest.param(
+            lambda: Context([_HUGE]),
+            InvariantViolation,
+            "context member an integer of 16610 bits is out of range for an index",
+            id="context",
+        ),
+        pytest.param(
+            lambda: FrequencyTable(["a", "b"], [_HUGE, 1], 5, 0),
+            InvariantViolation,
+            "counts sum to an integer of 16610 bits, expected total 5",
+            id="frequency-table",
+        ),
+        pytest.param(
+            lambda: ContextualStatistics([_HUGE, _HUGE], "xy", [0.5, 0.5], [0.5, 0.5], [[0.5, 0.5]] * 2),
+            TypeMismatch,
+            "selector variable must take exactly 2 distinct values, "
+            "got (an integer of 16610 bits, an integer of 16610 bits)",
+            id="statistics-labels",
+        ),
+        pytest.param(
+            _absent_filter,
+            DegenerateContext,
+            "no points with 'v' = an integer of 16610 bits in the context",
+            id="filter-absent",
+        ),
+        pytest.param(
+            _zero_weight_filter,
+            DegenerateContext,
+            "points with 'v' = an integer of 16610 bits carry zero weight in the context",
+            id="filter-weightless",
+        ),
+        pytest.param(
+            lambda: RandomVariable(_HUGE, []),
+            InvariantViolation,
+            "variable an integer of 16610 bits needs at least one value",
+            id="variable-without-values",
+        ),
+        pytest.param(
+            lambda: RandomVariable(_HUGE, ["a"]),
+            InvariantViolation,
+            "a variable name must have a text form, got an integer of 16610 bits",
+            id="variable-name",
+        ),
+    ],
+)
+def test_a_huge_integer_is_shown_by_its_size_in_a_diagnostic(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error and str(info.value) == message
