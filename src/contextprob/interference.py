@@ -59,13 +59,18 @@ def _sqrt_product(first: float, second: float) -> float:
 
 
 def _finite(coefficient: float) -> float:
-    """``coefficient`` as a float, refused with :class:`InvariantViolation` unless finite."""
-    coefficient = float(coefficient)
-    if not math.isfinite(coefficient):
-        raise InvariantViolation(
-            f"interference coefficient must be finite, got {coefficient!r}"
-        )
-    return coefficient
+    """``coefficient`` as a float, refused with :class:`InvariantViolation` unless finite.
+
+    An integer too large for a float is not finite as one, so it is refused too.
+    """
+    try:
+        value = float(coefficient)
+        finite = math.isfinite(value)
+    except OverflowError:
+        value, finite = coefficient, False
+    if not finite:
+        raise InvariantViolation(f"interference coefficient must be finite, got {_shown(value)}")
+    return value
 
 
 def _check_tolerance(tolerance: float, path: str | None = None) -> None:

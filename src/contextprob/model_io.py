@@ -18,6 +18,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Any
@@ -147,12 +148,14 @@ def load_model(data: bytes | str) -> ExperimentModel:
     if type(schema) is not int or schema != SCHEMA_VERSION:
         _fail("schema", f"expected schema {SCHEMA_VERSION}, got {_shown(schema)}")
 
-    weights = doc.get("weights")
+    # Each array is taken out of the document and dropped once converted, so
+    # loading holds no more than the parse.
+    weights = doc.pop("weights", None)
     if not isinstance(weights, list) or not weights:
         _fail("weights", "expected a non-empty list of numbers")
     weights = _checked_reals(weights, "weights", "weights[{}]")  # flat, so one dimension
 
-    points = doc.get("points")
+    points = doc.pop("points", None)
     if points is None:
         points = _AutoNames(len(weights))
     else:
@@ -160,16 +163,18 @@ def load_model(data: bytes | str) -> ExperimentModel:
             _fail("points", "expected a list of strings")
         if len(points) != len(weights):
             _fail("points", f"{len(points)} points for {len(weights)} weights")
-        if len(set(points)) != len(points):
-            _fail("points", "point identifiers must be unique")
         points = tuple(points)
+        # Sorted, not a set: a set of the names can outgrow the whole parse.
+        ordered = sorted(points)
+        if any(map(operator.eq, ordered, itertools.islice(ordered, 1, None))):
+            _fail("points", "point identifiers must be unique")
     try:
         _check_normalized(weights, "weights")
     except InvariantViolation as exc:
         _fail("weights", str(exc))
     prespace = _built(Prespace, points=points, weights=weights)
 
-    raw_variables = doc.get("variables")
+    raw_variables = doc.pop("variables", None)
     if not isinstance(raw_variables, dict) or not raw_variables:
         _fail("variables", "expected a non-empty object of name -> value list")
     size = prespace.size
@@ -189,6 +194,7 @@ def load_model(data: bytes | str) -> ExperimentModel:
                 if type(value) is float and not math.isfinite(value):
                     _fail(f"{path}[{i}]", f"values must be finite, got {value!r}")
         variables[name] = RandomVariable(name, values)
+        values.clear()
 
     selector_name = doc.get("selector")
     outcome_name = doc.get("outcome")
@@ -204,7 +210,7 @@ def load_model(data: bytes | str) -> ExperimentModel:
                 f"variable {_shown(name)} must take exactly 2 values, found {arity}",
             )
 
-    raw_context = doc.get("context")
+    raw_context = doc.pop("context", None)
     if not isinstance(raw_context, list) or not raw_context:
         _fail("context", "expected a non-empty list of point indices")
     # Checked whole; walked to the first bad entry only when that fails.
@@ -218,13 +224,14 @@ def load_model(data: bytes | str) -> ExperimentModel:
     # Checked above, so built from a membership mask: sorted and unique by construction.
     mask = np.zeros(size, dtype=bool)
     mask[raw_context] = True
+    del raw_context
     members = np.flatnonzero(mask)
     if float(weights[members].sum()) <= 0.0:
         _fail("context", "context carries zero total weight")
     context = _built(Context, indices=members)
 
     kernel = None
-    raw_kernel = doc.get("kernel")
+    raw_kernel = doc.pop("kernel", None)
     if raw_kernel is not None:
         if not isinstance(raw_kernel, list) or len(raw_kernel) != size:
             _fail("kernel", f"expected {size} rows")
@@ -236,6 +243,7 @@ def load_model(data: bytes | str) -> ExperimentModel:
                     _fail(f"kernel.row[{i}]", f"expected {size} entries")
                 _checked_reals(row, "kernel", f"kernel.row[{i}][{{}}]")
             raise AssertionError("a kernel that failed its whole check has no bad row")
+        del raw_kernel
         _check_normalized(matrix, "kernel")  # names the first bad row
         kernel = _built(PerturbationKernel, matrix=matrix)  # square and checked above
 

@@ -291,13 +291,13 @@ def _encode(value: Any, level: int) -> str:
     if kind is list or kind is tuple:
         return _encode_array(value, level)
     if kind is int:
-        return str(value)
+        return _digits(value)
     if value is None:
         return "null"
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
-        return str(int(value))
+        return _digits(int(value))
     if isinstance(value, (float, np.floating)):
         value = float(value)
         if not math.isfinite(value):
@@ -312,6 +312,14 @@ def _encode(value: Any, level: int) -> str:
     raise InvariantViolation(f"cannot serialize {type(value).__name__}")
 
 
+def _digits(value: int) -> str:
+    """An exact integer's digits; one with more than int-to-str conversion allows is refused."""
+    try:
+        return str(value)
+    except ValueError:
+        raise InvariantViolation(f"cannot serialize {_shown(value)}") from None
+
+
 def _encode_object(value: Mapping, level: int) -> str:
     if not value:
         return "{}"
@@ -319,7 +327,7 @@ def _encode_object(value: Mapping, level: int) -> str:
     parts = []
     for key in sorted(value):
         if not isinstance(key, str):
-            raise InvariantViolation(f"object keys must be strings, got {key!r}")
+            raise InvariantViolation(f"object keys must be strings, got {_shown(key)}")
         parts.append(
             f"{inner}{encode_basestring_ascii(key)}: {_encode(value[key], level + 1)}"
         )

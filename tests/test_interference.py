@@ -25,6 +25,7 @@ from contextprob import (
     phases,
 )
 from contextprob.interference import _sqrt_product
+from contextprob.prespace import _shown
 
 from synth import (
     brute_force_lambdas,
@@ -190,11 +191,18 @@ class TestPhases:
             (math.nan, Classification.HYPERBOLIC),
             (math.inf, Classification.HYPERBOLIC),
             (-math.inf, Classification.TRIGONOMETRIC),
+            (10**400, Classification.HYPERBOLIC),  # too large for a float
+            (-(10**400), Classification.TRIGONOMETRIC),
         ],
     )
     def test_a_coefficient_that_is_not_finite_is_refused(self, coefficient, classification):
-        with pytest.raises(InvariantViolation, match="interference coefficient must be finite"):
+        message = f"interference coefficient must be finite, got {_shown(coefficient)}"
+        with pytest.raises(InvariantViolation) as info:
             phases(coefficient, classification)
+        assert str(info.value) == message
+        with pytest.raises(InvariantViolation) as info:
+            classify(coefficient)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("coefficient", [0.5, -0.5, 0.0, math.nextafter(1.0, 0.0)])
     def test_a_hyperbolic_coefficient_below_one_is_refused(self, coefficient):

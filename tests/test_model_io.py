@@ -96,6 +96,21 @@ def kernel_free_model(n):
     return json.dumps(doc).encode()
 
 
+def parse(raw):
+    """A document's text and its parse, as loading starts them."""
+    return json.loads(raw.decode())
+
+
+def traced_peak(load, raw):
+    """The largest memory ``tracemalloc`` sees while ``load(raw)`` runs."""
+    tracemalloc.start()
+    try:
+        load(raw)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 # Deeper than json.loads can recurse: arrays, then objects.
 DEEPLY_NESTED = ["[" * 100_000 + "]" * 100_000, '{"a": ' * 100_000 + "1" + "}" * 100_000]
 
@@ -605,18 +620,31 @@ class TestLoadModel:
     @pytest.mark.parametrize("n", [60, 120])
     def test_loading_holds_one_copy_of_a_dense_document(self, n):
         raw = dense_model(n)
-
-        def peak(load):
-            tracemalloc.start()
-            try:
-                load(raw)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         load_model(raw)  # the first call also allocates one-off state
         # Parsing holds the text and the document together; loading should hold no more.
-        assert peak(load_model) <= 1.05 * peak(lambda raw: json.loads(raw.decode()))
+        assert traced_peak(load_model, raw) <= 1.05 * traced_peak(parse, raw)
+
+    @pytest.mark.parametrize("n", [2000, 4000])
+    @pytest.mark.parametrize("named", [False, True], ids=["auto-named", "named"])
+    @pytest.mark.parametrize("labels", ["string", "integer"])
+    @pytest.mark.parametrize("context", ["whole", "partial"])
+    def test_loading_holds_one_copy_of_a_kernel_free_document(self, n, named, labels, context):
+        doc = json.loads(kernel_free_model(n))
+        if named:
+            doc["points"] = [f"point-{i}" for i in range(n)]
+        if labels == "integer":
+            codes = {"left": 0, "right": 1, "up": 10, "down": 20}
+            doc["variables"] = {
+                name: [codes[value] for value in values]
+                for name, values in doc["variables"].items()
+            }
+        if context == "partial":  # the first four points hold every pair of values
+            doc["context"] = [i for i in range(n) if i < 4 or i % 3]
+        raw = json.dumps(doc).encode()
+        load_model(raw)  # the first call also allocates one-off state
+        # Each list is dropped once converted, so the document's lists and their
+        # arrays are never held together.
+        assert traced_peak(load_model, raw) <= 1.01 * traced_peak(parse, raw)
 
     @given(case=_kernels_with_an_odd_entry())
     @settings(max_examples=300, deadline=None)
@@ -652,18 +680,9 @@ class TestLoadModel:
     @pytest.mark.parametrize("n", [2000, 4000])
     def test_loading_a_kernel_free_document_makes_no_per_point_objects(self, n):
         raw = kernel_free_model(n)
-
-        def peak(load):
-            tracemalloc.start()
-            try:
-                load(raw)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         load_model(raw)  # the first call also allocates one-off state
         # Point names and a set of context members would each add a Python object per point.
-        assert peak(load_model) <= 1.2 * peak(lambda raw: json.loads(raw.decode()))
+        assert traced_peak(load_model, raw) <= 1.2 * traced_peak(parse, raw)
 
     @pytest.mark.parametrize(
         "raw",

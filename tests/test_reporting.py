@@ -389,6 +389,36 @@ def test_a_non_finite_value_is_refused(field, value, path):
     assert _refusal(doc).path.startswith(_path(path))  # the field, or an entry in it
 
 
+# Beyond int-to-str conversion's digit limit; named by its size, as a diagnostic names it.
+HUGE = 10**5000
+
+
+@pytest.mark.parametrize(
+    "write, message",
+    [
+        pytest.param(
+            lambda: canonical_json([HUGE]),
+            "cannot serialize an integer of 16610 bits",
+            id="array-entry",
+        ),
+        pytest.param(
+            lambda: canonical_json({HUGE: 1}),
+            "object keys must be strings, got an integer of 16610 bits",
+            id="object-key",
+        ),
+        pytest.param(
+            lambda: emit_report(analyze_statistics(REGIMES["mixed"], seed=HUGE)),
+            "cannot serialize an integer of 16610 bits",
+            id="report-seed",
+        ),
+    ],
+)
+def test_an_integer_too_long_to_write_is_refused(write, message):
+    with pytest.raises(InvariantViolation) as info:
+        write()
+    assert str(info.value) == message
+
+
 # kept as read: an integer is written back as an integer, not as 1e+17 or 0.0
 @pytest.mark.parametrize("tolerance", [0, 0.0, -0.0, 0.25, 10**17])
 def test_a_tolerance_of_zero_or_more_loads(tolerance):
