@@ -8,7 +8,6 @@ are report content, not failures.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from .reporting import analyze_model, analyze_statistics, canonical_json, emit_r
 
 
 def _digest(data: bytes) -> str:
+    import hashlib  # only a successful analysis needs it, so validate and sample skip OpenSSL
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Hashable
 
-# branch_probabilities is re-exported: callers may import it from either module
-from .dynamics import ContextualStatistics, _branches_and_gap, branch_probabilities
+from .dynamics import ContextualStatistics, _branches_and_gap
 from .errors import InvariantViolation, NoPhase
 from .prespace import _shown
 

@@ -312,6 +312,43 @@ class TestGoldenReports:
         assert code == 0
         assert out == (GOLDEN / f"{name}.report.json").read_bytes()
 
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            *(
+                pytest.param(name, lambda doc: doc.pop("points"), id=f"{name}-auto-named")
+                for name in MODEL_NAMES  # every shipped example names its points
+            ),
+            pytest.param(
+                "hyperbolic",
+                lambda doc: doc.update(kernel=[[0 if x == 0 else x for x in row] for row in doc["kernel"]]),
+                id="hyperbolic-integer-zeros",  # written as 0, not 0.0
+            ),
+        ],
+    )
+    def test_an_equivalent_model_analyses_to_its_golden(self, name, edit, tmp_path, capsysbinary):
+        doc = json.loads((EXAMPLES / f"{name}.json").read_text())
+        edit(doc)
+        model = tmp_path / f"{name}.json"
+        model.write_text(json.dumps(doc))
+        code, out, err = run(["analyze", "--model", str(model)], capsysbinary)
+        assert (code, err) == (0, b"")
+        report, golden = json.loads(out), json.loads((GOLDEN / f"{name}.report.json").read_bytes())
+        assert report.pop("input_digest") != golden.pop("input_digest")  # it hashes the input bytes
+        assert report == golden
+
+    def test_an_auto_named_model_validates_and_samples(self, tmp_path, capsysbinary):
+        doc = json.loads((EXAMPLES / "classical.json").read_text())
+        del doc["points"]
+        model = tmp_path / "classical.json"
+        model.write_text(json.dumps(doc))
+        code, _, err = run(["validate", "--model", str(model)], capsysbinary)
+        assert (code, err) == (0, b"")
+        sample = ["sample", "--variable", "screen", "--n", "1000", "--model"]
+        code, out, err = run(sample + [str(model)], capsysbinary)
+        assert (code, err) == (0, b"")
+        assert run(sample + [str(EXAMPLES / "classical.json")], capsysbinary) == (0, out, b"")
+
     def test_bytes_survive_thread_count_changes(self, tmp_path):
         # run in separate interpreters with different BLAS thread settings;
         # the report bytes must not care

@@ -402,6 +402,14 @@ class TestOneToleranceRule:
         ])
 
     @pytest.mark.parametrize("entry", ["model", "report"])
+    def test_a_negative_integer_in_a_document_is_named_as_its_float(self, entry):
+        with pytest.raises(InvariantViolation) as info:
+            self.use(entry, -1)
+        assert str(info.value) == (
+            f"{self.PATHS[entry]}: classify tolerance must be finite and not negative, got -1.0"
+        )
+
+    @pytest.mark.parametrize("entry", ["model", "report"])
     @pytest.mark.parametrize(
         "tolerance, message",
         [

@@ -279,6 +279,7 @@ def test_a_changed_derived_field_is_refused_at_its_path(data):
         (("interference", "entries", 1, "classification"), "hyperbolic", "interference.entries[1].classification"),
         (("tool", "name"), "other", "tool.name"),
         (("comment",), "hello", "comment"),
+        (("amplitudes", "regime"), "hyperbolic", "amplitudes.regime"),  # a regime, but not this one
     ],
 )
 def test_a_tampered_field_is_refused_at_its_path(field, value, path):
