@@ -8,6 +8,7 @@ are report content, not failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -37,8 +38,15 @@ def _read(path: str) -> bytes:
 
 def _write_output(data: bytes, out: str | None) -> None:
     if out is None:
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
+        try:
+            sys.stdout.buffer.write(data)
+            sys.stdout.buffer.flush()
+        except OSError as exc:  # a full device, or a pipe whose reader has gone
+            # Closed, so the bytes still buffered are not written again, and
+            # fail again, when the interpreter flushes stdout on exit.
+            with contextlib.suppress(OSError):
+                sys.stdout.close()
+            raise InvariantViolation(f"cannot write stdout: {exc.strerror}") from None
     else:
         try:
             Path(out).write_bytes(data)
@@ -89,11 +97,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     model = load_model(_read(args.model))
     names = ", ".join(sorted(model.variables))
     kernel = "present" if model.kernel is not None else "absent"
-    print(
+    line = (
         f"model ok: {model.prespace.size} points; variables: {names}; "
         f"selector: {model.selector_name}; outcome: {model.outcome_name}; "
-        f"context size {model.context.size}; kernel {kernel}"
+        f"context size {model.context.size}; kernel {kernel}\n"
     )
+    # A variable name may hold a lone surrogate, which no encoding takes.
+    _write_output(line.encode(sys.stdout.encoding, "backslashreplace"), None)
     return 0
 
 

@@ -4,10 +4,14 @@ The generators produce models/statistics with comfortably non-degenerate
 branch probabilities so that coefficient tolerances are meaningful.  The
 brute-force oracle recomputes interference coefficients by exhaustive
 enumeration over point pairs in plain Python, independently of the library's
-vectorized pipeline.
+vectorized pipeline.  Qubit experiments are drawn Haar-random, with their
+exact quantum cosines.  The rest are shared documents and the benchmark's
+stage tracer.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -156,6 +160,40 @@ def doubly_stochastic_statistics(rng):
     )
 
 
+def haar_unitary(rng):
+    """A Haar-random 2 x 2 unitary: QR of a complex Gaussian, with R's diagonal
+    phases moved into Q (Mezzadri, Notices AMS 54, 592, 2007)."""
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    q, r = np.linalg.qr(z)
+    diagonal = np.diagonal(r)
+    return q * (diagonal / np.abs(diagonal))
+
+
+def qubit_experiment(rng):
+    """A Haar-random qubit state measured in a Haar-random selector basis.
+
+    The outcome basis ``b`` is the standard one, and the columns ``a_1, a_2``
+    of a Haar unitary are the selector basis in its coordinates.  Returns the
+    statistics ``p_i = |<a_i|psi>|^2``, ``q_j = |psi_j|^2`` and the doubly
+    stochastic ``t_ij = |<b_j|a_i>|^2``, and the exact quantum cosine of each
+    outcome ``j``, ``Re(conj(c_1j) c_2j) / (|c_1j| |c_2j|)`` with
+    ``c_ij = <b_j|a_i><a_i|psi>``, so that ``q_j = |c_1j + c_2j|^2``.
+    """
+    psi = haar_unitary(rng)[:, 0]
+    basis = haar_unitary(rng)
+    along = basis.conj().T @ psi  # <a_i|psi>
+    paths = basis.T * along[:, np.newaxis]  # c_ij
+    cosines = (paths[0].conj() * paths[1]).real / (np.abs(paths[0]) * np.abs(paths[1]))
+    statistics = ContextualStatistics(
+        selector_labels=("a1", "a2"),
+        outcome_labels=("b1", "b2"),
+        selector_marginals=np.abs(along) ** 2,
+        outcome_marginals=np.abs(psi) ** 2,
+        transition=np.abs(basis.T) ** 2,
+    )
+    return statistics, tuple(cosines.tolist())
+
+
 def brute_force_lambdas(space, context, selector, outcome, kernel):
     """Interference coefficients by exhaustive point-pair enumeration.
 
@@ -189,3 +227,40 @@ def brute_force_lambdas(space, context, selector, outcome, kernel):
             / (2.0 * math.sqrt(branches[0] * branches[1]))
         )
     return tuple(coefficients)
+
+
+def four_point_model(statistics):
+    """The classical prespace model of a count table's statistics, as a document.
+
+    Point ``(s, o)`` weighs ``P(s)·P(o)``, so both undisturbed marginals hold;
+    kernel row ``(s, o)`` is the transition row of ``s``, placed on the points
+    ``(s, ·)``, so measuring ``s`` yields that row.  The context is the whole space.
+    """
+    pairs = [(i, j) for i in range(2) for j in range(2)]
+    selector = statistics.selector_marginals.tolist()
+    outcome = statistics.outcome_marginals.tolist()
+    transition = statistics.transition.tolist()
+    return {
+        "schema": 1,
+        "weights": [selector[i] * outcome[j] for i, j in pairs],
+        "variables": {
+            "selector": [statistics.selector_labels[i] for i, _ in pairs],
+            "outcome": [statistics.outcome_labels[j] for _, j in pairs],
+        },
+        "selector": "selector",
+        "outcome": "outcome",
+        "context": [0, 1, 2, 3],
+        "kernel": [
+            [transition[i][j] if s == i else 0.0 for s, j in pairs] for i, _ in pairs
+        ],
+    }
+
+
+def perfbench_spans():
+    """``perfbench/spans.py``, loaded from its file without adding it to the path."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import math
 import os
@@ -13,6 +12,8 @@ from hypothesis import strategies as st
 import contextprob.cli
 from contextprob import analyze_model, emit_report, load_model
 from contextprob.cli import main
+
+from synth import perfbench_spans
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "example_models"
 GOLDEN = EXAMPLES / "golden"
@@ -520,6 +521,17 @@ class TestValidate:
         bad.write_text("[]")
         assert main(["validate", "--model", str(bad)]) == 2
 
+    @pytest.mark.parametrize("name, shown", [("\u00e9cran", "\u00e9cran"), ("\ud800", "\\ud800")])
+    def test_a_variable_name_is_printed_in_any_case(self, name, shown, tmp_path):
+        model = tmp_path / "named.json"
+        model.write_text(_edited("classical.json", variables=lambda v: {**v, name: v["screen"]}))
+        result = subprocess.run(
+            [sys.executable, "-m", "contextprob", "validate", "--model", str(model)],
+            capture_output=True, env=dict(os.environ, PYTHONIOENCODING="utf-8"),
+        )
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert f"variables: path, screen, {shown};".encode() in result.stdout
+
 
 # Each kernel row sums to 1 within 1e-12, but the masses pushed through the
 # kernel from the "b" points sum to 1.000000000001, one ulp beyond the band.
@@ -609,24 +621,18 @@ def test_overflowing_squares_model_has_a_finite_born_residual(tmp_path, capsysbi
     assert math.isfinite(report["born_residual"])
 
 
+# The commands that write a document, to stdout unless given --out.
+WRITING_COMMANDS = {
+    "analyze-model": ["analyze", "--model", str(EXAMPLES / "classical.json")],
+    "analyze-table": ["analyze", "--table", str(EXAMPLES / "interference_table.csv")],
+    "sample": [
+        "sample", "--model", str(EXAMPLES / "classical.json"), "--variable", "screen", "--n", "10",
+    ],
+}
+
+
 class TestUnwritableOut:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["analyze", "--model", str(EXAMPLES / "classical.json")],
-            ["analyze", "--table", str(EXAMPLES / "interference_table.csv")],
-            [
-                "sample",
-                "--model",
-                str(EXAMPLES / "classical.json"),
-                "--variable",
-                "screen",
-                "--n",
-                "10",
-            ],
-        ],
-        ids=["analyze-model", "analyze-table", "sample"],
-    )
+    @pytest.mark.parametrize("argv", WRITING_COMMANDS.values(), ids=WRITING_COMMANDS.keys())
     @pytest.mark.parametrize("target", ["missing-dir", "directory"])
     def test_unwritable_out_exits_2(self, argv, target, tmp_path, capsysbinary):
         out_path = tmp_path / "absent" / "out.json" if target == "missing-dir" else tmp_path
@@ -635,6 +641,47 @@ class TestUnwritableOut:
         assert out == b""
         lines = err.decode().splitlines()
         assert lines == [lines[0]] and lines[0].startswith(f"error: cannot write {out_path}: ")
+
+
+def _run_to_stdout(argv, stdout, buffering):
+    """``python -m contextprob`` in a fresh interpreter, writing to ``stdout``."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    flags = ["-u"] if buffering == "unbuffered" else []
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "contextprob", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, env=env, check=False,
+    )
+
+
+class TestUnwritableStdout:
+    """A write to stdout that fails ends like an unwritable ``--out``: exit 2
+    and one error line, and the interpreter's last flush of stdout adds none."""
+
+    COMMANDS = {
+        **WRITING_COMMANDS,
+        "validate": ["validate", "--model", str(EXAMPLES / "classical.json")],
+    }
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+    @pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS.keys())
+    @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+    def test_a_full_device_exits_2(self, argv, buffering):
+        with open("/dev/full", "wb") as full:
+            result = _run_to_stdout(argv, full, buffering)
+        assert result.returncode == 2
+        assert result.stderr == b"error: cannot write stdout: No space left on device\n"
+
+    @pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS.keys())
+    @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+    def test_a_closed_pipe_exits_2(self, argv, buffering):
+        reader, writer = os.pipe()
+        os.close(reader)  # closed before the command starts, so every write fails
+        try:
+            result = _run_to_stdout(argv, writer, buffering)
+        finally:
+            os.close(writer)
+        assert result.returncode == 2
+        assert result.stderr == b"error: cannot write stdout: Broken pipe\n"
 
 
 class TestParser:
@@ -698,21 +745,11 @@ class TestByteFuzz:
             assert err.startswith(b"error: ") and err.count(b"\n") == 1
 
 
-def _perfbench_spans():
-    """``perfbench/spans.py``, loaded from its file without adding it to the path."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_spans", EXAMPLES.parent / "perfbench" / "spans.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_every_traced_stage_is_reached_by_the_examples(capsysbinary):
     """The benchmark's traced run takes a stage's figures from a run of
     ``cli.main`` over the examples when its own operations skip that stage,
     so each stage it traces must be called there."""
-    spans = _perfbench_spans()
+    spans = perfbench_spans()
     argvs = []
     for name in MODEL_NAMES:
         model = str(EXAMPLES / f"{name}.json")

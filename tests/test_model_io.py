@@ -7,6 +7,7 @@ import tracemalloc
 from collections.abc import Mapping
 from pathlib import Path
 from types import MappingProxyType
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,11 +26,16 @@ from contextprob import (
     ingest_contingency_table,
     load_model,
     load_report,
+    variable_distribution,
 )
+import contextprob.cli  # noqa: F401  (the stage tracer wraps the CLI's stages too)
+from contextprob import model_io
 from contextprob.prespace import _AutoNames, _check_normalized, _shown
 
 from synth import (
     coefficients,
+    four_point_model,
+    perfbench_spans,
     random_hyperbolic_statistics,
     random_space,
     random_trigonometric_statistics,
@@ -258,6 +264,74 @@ def _edge_of_band_models(draw):
             _row_in_band(rng, n, positive=False, excess=shared) for _ in range(n)
         ]
     return doc
+
+
+# How a dense model document is spoiled, each as both parse paths must judge it.
+_ENTRY_FAULTS = {"true": True, "false": False, "string": "x", "null": None, "nan": math.nan}
+_DOCUMENT_FAULTS = [
+    *_ENTRY_FAULTS, "ragged", "narrow", "one-row-short", "empty", "repeated-key",
+    "deep-in-a-row", "deep-in-options", "trailing", "kernel-null",
+]
+
+
+@st.composite
+def _spoiled_dense_documents(draw):
+    """The text of a dense model of 2 to 8 points, whole or with one fault."""
+    n = draw(st.integers(2, 8))
+    kernel = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.05, 1.0, (n, n))
+    kernel = (kernel / kernel.sum(axis=1, keepdims=True)).tolist()
+    doc = uniform_model(n, kernel)
+    fault = draw(st.sampled_from([None, *_DOCUMENT_FAULTS]))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if fault in _ENTRY_FAULTS:
+        kernel[i][j] = _ENTRY_FAULTS[fault]
+    elif fault == "ragged":
+        kernel[i] = kernel[i][:-1] if draw(st.booleans()) else [*kernel[i], 0.0]
+    elif fault == "narrow":
+        doc["kernel"] = [row[:-1] for row in kernel]
+    elif fault == "one-row-short":
+        del kernel[i]
+    elif fault == "empty":
+        doc["kernel"] = []
+    elif fault == "deep-in-a-row":
+        kernel[i][j] = "DEEP"
+    elif fault == "deep-in-options":
+        doc["options"] = {"seed": "DEEP"}
+    elif fault == "kernel-null":
+        doc["kernel"] = None
+    text = json.dumps(doc).replace('"DEEP"', DEEPLY_NESTED[0])
+    if fault == "repeated-key":
+        key = draw(st.sampled_from(sorted(doc)))
+        text = f"{{{json.dumps(key)}: {json.dumps(doc[key])}, {text[1:]}"
+    elif fault == "trailing":
+        text += draw(st.sampled_from([" x", "{}", ",", "]", " 1", "\n{"]))
+    return text
+
+
+def _loading(text):
+    """What ``load_model`` makes of a document: every field of the model, or its error."""
+    try:
+        model = load_model(text)
+    except InvariantViolation as exc:
+        return "refused", exc.path, str(exc)
+    return (
+        tuple(model.prespace.points),
+        model.prespace.weights.tobytes(),
+        {name: variable.values for name, variable in model.variables.items()},
+        model.context.indices.tobytes(),
+        None if model.kernel is None else model.kernel.matrix.tobytes(),
+        model.selector_name,
+        model.outcome_name,
+        model.options,
+    )
+
+
+def large_dense_model():
+    """A dense model document of 240 points: 1.3 MB, above the size whose kernel
+    is read while parsing."""
+    raw = dense_model(240)
+    assert len(raw) >= model_io._STREAMED_KERNEL_CHARS
+    return raw
 
 
 TABLE = """\
@@ -677,6 +751,49 @@ class TestLoadModel:
         assert info.value.path == "kernel.row[59][59]"
         assert peak < 4 * len(raw) + 1_000_000
 
+    @given(text=_spoiled_dense_documents())
+    @settings(max_examples=300, deadline=None)
+    def test_a_kernel_read_while_parsing_loads_as_the_plain_parse_does(self, text):
+        plain = _loading(text)  # small, so parsed the plain way
+        with mock.patch.object(model_io, "_STREAMED_KERNEL_CHARS", 0):
+            assert _loading(text) == plain
+
+    def test_a_dense_kernel_is_read_while_parsing(self):
+        n = 5
+        raw = dense_model(n).decode()
+        with mock.patch.object(model_io, "_STREAMED_KERNEL_CHARS", 0):
+            doc = json.loads(raw, cls=model_io._KernelDecoder, object_pairs_hook=model_io._unique_keys)
+        rows, plain = doc.pop("kernel"), json.loads(raw)
+        assert type(rows) is model_io._KernelRows and (len(rows), rows.width) == (n, n)
+        assert list(rows) == plain.pop("kernel")
+        assert doc == plain
+
+    def test_true_in_a_large_dense_kernel_is_named(self):
+        doc = json.loads(large_dense_model())
+        doc["kernel"][170][33] = True
+        raw = json.dumps(doc)
+        assert len(raw) >= model_io._STREAMED_KERNEL_CHARS
+        with pytest.raises(InvariantViolation) as info:
+            load_model(raw)
+        assert str(info.value) == "kernel.row[170][33]: expected a number, got True"
+
+    def test_a_large_dense_document_loads_within_its_text_and_matrix(self):
+        raw = large_dense_model()
+        load_model(raw)  # the first call also allocates one-off state
+        # Each row is converted as it is parsed, so the parsed rows, four times
+        # the matrix as Python floats, are never held together.
+        assert traced_peak(load_model, raw) < len(raw) + 1.25 * 240 * 240 * 8
+
+    def test_a_large_dense_document_is_parsed_in_one_traced_span(self):
+        tracer = perfbench_spans().Tracer()
+        tracer.install()
+        try:
+            model = model_io.load_model(large_dense_model())  # the traced one
+        finally:
+            tracer.uninstall()
+        assert model.kernel.matrix.shape == (240, 240)
+        assert tracer.names == ["model_io.load_model", "model_io.json_loads"]
+
     @pytest.mark.parametrize("n", [2000, 4000])
     def test_loading_a_kernel_free_document_makes_no_per_point_objects(self, n):
         raw = kernel_free_model(n)
@@ -1050,39 +1167,13 @@ class TestAnalyze:
         assert analyze_model(model, seed=3).seed == 3
 
 
-def four_point_model(statistics):
-    """The classical prespace model of a count table's statistics, as a document.
-
-    Point ``(s, o)`` weighs ``P(s)·P(o)``, so both undisturbed marginals hold;
-    kernel row ``(s, o)`` is the transition row of ``s``, placed on the points
-    ``(s, ·)``, so measuring ``s`` yields that row.  The context is the whole space.
-    """
-    pairs = [(i, j) for i in range(2) for j in range(2)]
-    selector = statistics.selector_marginals.tolist()
-    outcome = statistics.outcome_marginals.tolist()
-    transition = statistics.transition.tolist()
-    return {
-        "schema": 1,
-        "weights": [selector[i] * outcome[j] for i, j in pairs],
-        "variables": {
-            "selector": [statistics.selector_labels[i] for i, _ in pairs],
-            "outcome": [statistics.outcome_labels[j] for _, j in pairs],
-        },
-        "selector": "selector",
-        "outcome": "outcome",
-        "context": [0, 1, 2, 3],
-        "kernel": [
-            [transition[i][j] if s == i else 0.0 for s, j in pairs] for i, _ in pairs
-        ],
-    }
-
-
 _counts = st.integers(0, 10**12)
 
 
-@settings(max_examples=300, deadline=None)
-@given(direct=st.tuples(_counts, _counts), sequential=st.tuples(*[_counts] * 4))
-def test_a_count_table_and_its_four_point_model_share_a_regime(direct, sequential):
+
+
+def _count_table(direct, sequential):
+    """The statistics of a table of two direct and four sequential counts."""
     assume(sum(direct) > 0 and sum(sequential[:2]) > 0 and sum(sequential[2:]) > 0)
     rows = ["experiment,outcome_a,outcome_b,count"]
     rows += [f"direct,,{o},{n}" for o, n in zip(["up", "down"], direct)]
@@ -1090,7 +1181,13 @@ def test_a_count_table_and_its_four_point_model_share_a_regime(direct, sequentia
         f"sequential,{s},{o},{n}"
         for (s, o), n in zip(itertools.product(["left", "right"], ["up", "down"]), sequential)
     ]
-    table = ingest_contingency_table("\n".join(rows))
+    return ingest_contingency_table("\n".join(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(direct=st.tuples(_counts, _counts), sequential=st.tuples(*[_counts] * 4))
+def test_a_count_table_and_its_four_point_model_share_a_regime(direct, sequential):
+    table = _count_table(direct, sequential)
     expected = analyze_statistics(table)
     model = analyze_model(load_model(json.dumps(four_point_model(table))))
     # only the regime: near |c| = 1 the two float paths may fall on either side
@@ -1099,6 +1196,24 @@ def test_a_count_table_and_its_four_point_model_share_a_regime(direct, sequentia
         for entry in report.interference.entries:
             assume(entry.coefficient is None or abs(abs(entry.coefficient) - 1.0) > 1e-6)
     assert model.regime == expected.regime
+
+
+@settings(max_examples=200, deadline=None)
+@given(direct=st.tuples(_counts, _counts), sequential=st.tuples(*[_counts] * 4))
+def test_a_four_point_model_has_dispersion_free_points_below_its_tables_bound(direct, sequential):
+    """Each point of a table's four-point model fixes both variables, so its
+    entropy sum is 0, while the Maassen-Uffink bound ``-ln max t_ij`` that the
+    table's quantum representation obeys is positive when no ``t_ij`` is 0 or 1.
+    A point of weight 0 is no state to condition on, and is skipped."""
+    table = _count_table(direct, sequential)
+    model = load_model(json.dumps(four_point_model(table)))
+    for point in np.flatnonzero(model.prespace.weights).tolist():
+        for variable in (model.selector, model.outcome):
+            masses = variable_distribution(model.prespace, variable, Context([point])).masses
+            assert masses.max() == 1.0  # one value carries all the mass
+    transition = table.transition.tolist()
+    if all(0.0 < t < 1.0 for row in transition for t in row):
+        assert -math.log(max(map(max, transition))) > 0.0
 
 
 class TestReportSerialization:
