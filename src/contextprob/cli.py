@@ -29,11 +29,16 @@ def _digest(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
+def _named(path: str) -> str:
+    """A path as an error line names it; an empty one, which opens ".", as ''."""
+    return path or "''"
+
+
 def _read(path: str) -> bytes:
     try:
         return Path(path).read_bytes()
     except OSError as exc:
-        raise InvariantViolation(f"cannot read {path}: {exc.strerror}") from None
+        raise InvariantViolation(f"cannot read {_named(path)}: {exc.strerror}") from None
 
 
 def _write_output(data: bytes, out: str | None) -> None:
@@ -51,11 +56,11 @@ def _write_output(data: bytes, out: str | None) -> None:
         try:
             Path(out).write_bytes(data)
         except OSError as exc:
-            raise InvariantViolation(f"cannot write {out}: {exc.strerror}") from None
+            raise InvariantViolation(f"cannot write {_named(out)}: {exc.strerror}") from None
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    if args.model:
+    if args.model is not None:  # an empty path is still the one given
         raw = _read(args.model)
         report = analyze_model(
             load_model(raw), input_digest=_digest(raw), seed=args.seed

@@ -19,6 +19,7 @@ import itertools
 import json
 import math
 import operator
+import re
 import sys
 from dataclasses import dataclass
 from typing import Any
@@ -55,12 +56,14 @@ _MODEL_KEYS = {
     "outcome",
     "options",
 }
-# A model document of at least this many characters has its kernel read row by
-# row while it is parsed (_KernelDecoder), so loading holds the text and the
-# matrix, not the text and the parsed rows at four times the matrix's size.
-# The walk's Python steps cost 13 to 60 us on a document of up to 30 points,
-# against about 300 us for its analysis, and 2 to 5 % of the load from 100
-# points up.  From 1 MiB (a 220-point kernel) the walk saves 1.2 MB or more.
+# A model document of at least this many characters (bytes, when it is bytes)
+# has its kernel read row by row straight from the caller's data
+# (_streamed_document), so loading holds the matrix and the other values, not
+# a decoded copy of the text and the parsed rows at four times the matrix's
+# size.  The reader's Python steps cost about 2.5 us a row: 30 to 75 us on a
+# document of 10 to 30 points, a fifth to a third of its load, and 7 % of the
+# load at 100 points; from 220 points the time is level.  At 1 MiB (a
+# 220-point kernel) the reader holds 1.1 MB less, 0.44 MB against 1.52 MB.
 _STREAMED_KERNEL_CHARS = 1 << 20
 _OPTION_KEYS = {"classify_tolerance", "sample_size", "seed"}
 # Counts, and so their sums, must stay finite as floats.
@@ -145,104 +148,135 @@ class _KernelRows:
 
     def __iter__(self):
         """The rows as lists, for the walk that names a bad one."""
-        for start in range(0, self.count * self.width, self.width):
-            yield self.flat[start:start + self.width].tolist()
+        width = self.width
+        for row in range(self.count):
+            yield self.flat[row * width:(row + 1) * width].tolist()
 
 
 class _Unstreamed(Exception):
-    """The document is not one :class:`_KernelDecoder` reads on its own."""
+    """The document is not one :func:`_streamed_document` reads on its own."""
 
 
+_KERNEL_KEY = '"kernel"'
 _SPACE = json.decoder.WHITESPACE.match  # what the plain parse skips between tokens
+_BYTES_SPACE = re.compile(rb"[ \t\n\r]*").match  # the same, in bytes
 
 
-class _KernelDecoder(json.JSONDecoder):
-    """Parses as ``json.JSONDecoder`` does, except that in a document of at least
-    ``_STREAMED_KERNEL_CHARS`` a top-level ``"kernel"`` is read one row at a time
-    into one float buffer, a :class:`_KernelRows`, and each parsed row is dropped
-    at once.  So a dense kernel never has all its rows held as Python floats.
+def _streamed_document(data: bytes | str) -> dict[str, Any] | None:
+    """A model document parsed as :func:`_json_document` parses it, except that
+    its top-level ``"kernel"`` is read one row at a time, straight from
+    ``data``, into one float buffer, a :class:`_KernelRows`.  So neither the
+    whole text nor all the rows as Python floats are ever held.  None for a
+    document under ``_STREAMED_KERNEL_CHARS``, or one the walk does not read
+    on its own.
 
-    The walk uses the C scanner for every value.  Anything it does not expect,
-    from a top level that is no object to a row that is not a flat list of
-    numbers as long as the first, leaves the document to the plain parse: a
-    refused document gets its error, and an odd kernel reaches ``load_model``
-    as parsed rows, whose walk names the bad one.
+    Only the text before the first ``"kernel"`` and the text after the kernel
+    are decoded whole, and each row from its own slice, up to its first
+    ``]``, as ASCII.  Every cut falls on an ASCII byte, so the pieces decode if
+    and only if the whole does.  The C scanner reads every value.  Anything
+    the walk does not expect, from a first ``"kernel"`` that is no top-level
+    key to bad UTF-8 or a row that is not a flat list of numbers as long as the
+    first, leaves the document to the plain parse: a refused document gets its
+    error, and an odd kernel reaches ``load_model`` as parsed rows, whose walk
+    names the bad one.
     """
-
-    def decode(self, s: str) -> Any:
-        if len(s) < _STREAMED_KERNEL_CHARS:
-            return super().decode(s)
-        try:
-            return self._walk(s)
-        except (_Unstreamed, StopIteration, ValueError, TypeError, OverflowError, RecursionError):
-            pass  # parsed again outside the handler, which would keep the walk's rows alive
-        return super().decode(s)
-
-    def _walk(self, s: str) -> Any:
-        i = _SPACE(s).end()
-        if s[i:i + 1] != "{":
+    if len(data) < _STREAMED_KERNEL_CHARS:
+        return None
+    is_text = isinstance(data, str)
+    start = data.find(_KERNEL_KEY if is_text else _KERNEL_KEY.encode())
+    if start < 0:
+        return None
+    decoder = json.JSONDecoder(object_pairs_hook=_unique_keys)
+    pairs: list[tuple[str, Any]] = []
+    try:
+        head = data[:start] if is_text else data[:start].decode()
+        i = _SPACE(head).end()
+        if head[i:i + 1] != "{":
             raise _Unstreamed
-        i = _SPACE(s, i + 1).end()
-        pairs = []
-        while True:
-            if s[i:i + 1] != '"':
+        i = _SPACE(head, i + 1).end()
+        while i < len(head):  # the walk must end at the key, after the "{" or a ","
+            i = _member(head, i, decoder, pairs)
+            if head[i:i + 1] != ",":
                 raise _Unstreamed
-            key, i = self.parse_string(s, i + 1, self.strict)
-            i = _SPACE(s, i).end()
-            if s[i:i + 1] != ":":
-                raise _Unstreamed
-            i = _SPACE(s, i + 1).end()
-            if key == "kernel" and s[i:i + 1] == "[":
-                value, i = self._kernel(s, i)
-            else:
-                value, i = self.scan_once(s, i)
-            pairs.append((key, value))
-            i = _SPACE(s, i).end()
-            if s[i:i + 1] == "}":
-                break
-            if s[i:i + 1] != ",":
-                raise _Unstreamed
-            i = _SPACE(s, i + 1).end()
-        if _SPACE(s, i + 1).end() != len(s):
+            i = _SPACE(head, i + 1).end()
+        rows, end = _kernel_rows(data, start + len(_KERNEL_KEY), decoder.scan_once)
+        pairs.append(("kernel", rows))
+        tail = data[end:] if is_text else data[end:].decode()
+        i = _SPACE(tail).end()
+        while tail[i:i + 1] == ",":
+            i = _member(tail, _SPACE(tail, i + 1).end(), decoder, pairs)
+        if tail[i:i + 1] != "}" or _SPACE(tail, i + 1).end() != len(tail):
             raise _Unstreamed
-        return self.object_pairs_hook(pairs)  # a repeated key raises ValueError
-
-    def _kernel(self, s: str, i: int) -> tuple[_KernelRows, int]:
-        flat = array.array("d")
-        count = width = 0
-        i = _SPACE(s, i + 1).end()
-        if s[i:i + 1] == "]":
-            return _KernelRows(flat, count, width), i + 1
-        while True:
-            row, end = self.scan_once(s, i)
-            # fromlist takes a bool as a number: only true, false or Infinity
-            # holds a t or an f, and the plain parse judges those.
-            if type(row) is not list or s.find("t", i, end) >= 0 or s.find("f", i, end) >= 0:
-                raise _Unstreamed
-            if count and len(row) != width:  # ragged: the plain parse's walk names the row
-                raise _Unstreamed
-            flat.fromlist(row)  # TypeError or OverflowError on an entry no float holds
-            count, width = count + 1, len(row)
-            i = _SPACE(s, end).end()
-            if s[i:i + 1] == "]":
-                return _KernelRows(flat, count, width), i + 1
-            if s[i:i + 1] != ",":
-                raise _Unstreamed
-            i = _SPACE(s, i + 1).end()
+        return _unique_keys(pairs)  # a repeated key raises ValueError
+    except (_Unstreamed, StopIteration, ValueError, TypeError, OverflowError, RecursionError):
+        # The plain parse runs after return: inside this handler, the walk's rows would stay alive.
+        return None
 
 
-def _json_document(data: bytes | str, decoder: type[json.JSONDecoder] = json.JSONDecoder) -> Any:
+def _member(s: str, i: int, decoder: json.JSONDecoder, pairs: list[tuple[str, Any]]) -> int:
+    """Reads the ``"key": value`` at ``s[i]`` into ``pairs``; returns where the next token starts."""
+    if s[i:i + 1] != '"':
+        raise _Unstreamed
+    key, i = decoder.parse_string(s, i + 1, decoder.strict)
+    i = _SPACE(s, i).end()
+    if s[i:i + 1] != ":":
+        raise _Unstreamed
+    value, i = decoder.scan_once(s, _SPACE(s, i + 1).end())
+    pairs.append((key, value))
+    return _SPACE(s, i).end()
+
+
+def _kernel_rows(data: bytes | str, i: int, scan_once) -> tuple[_KernelRows, int]:
+    """The kernel array after the key that ends at ``data[i]``, read one row at a
+    time: its rows, and the index just past its ``]``."""
+    if isinstance(data, str):
+        space, colon, opening, closing, comma = _SPACE, ":", "[", "]", ","
+    else:
+        space, colon, opening, closing, comma = _BYTES_SPACE, b":", b"[", b"]", b","
+    i = space(data, i).end()
+    if data[i:i + 1] != colon:
+        raise _Unstreamed
+    i = space(data, i + 1).end()
+    if data[i:i + 1] != opening:
+        raise _Unstreamed
+    i = space(data, i + 1).end()
+    flat = array.array("d")
+    count = width = 0
+    while data[i:i + 1] != closing:
+        if count:
+            if data[i:i + 1] != comma:
+                raise _Unstreamed
+            i = space(data, i + 1).end()
+        end = data.find(closing, i) + 1
+        text = data[i:end] if isinstance(data, str) else data[i:end].decode("ascii")
+        # A list ends at the slice's one "]", so it is the whole slice.  An empty
+        # slice raises StopIteration.  fromlist takes a bool as a number: only
+        # true, false or Infinity holds a t or an f, and the plain parse judges those.
+        row = scan_once(text, 0)[0]
+        if type(row) is not list or "t" in text or "f" in text:
+            raise _Unstreamed
+        if count and len(row) != width:  # ragged: the plain parse's walk names the row
+            raise _Unstreamed
+        flat.fromlist(row)  # TypeError or OverflowError on an entry no float holds
+        count, width = count + 1, len(row)
+        i = space(data, end).end()
+    return _KernelRows(flat, count, width), i + 1
+
+
+def _json_document(data: bytes | str) -> Any:
     """A model or report document parsed; its text is dropped on return."""
     text = _text(data)  # outside the try: bad UTF-8 is not reworded as bad JSON
     try:
-        return json.loads(text, cls=decoder, object_pairs_hook=_unique_keys)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:  # also nesting too deep, or an over-long integer
         raise InvariantViolation(f"not valid JSON: {exc}") from None
 
 
 def load_model(data: bytes | str) -> ExperimentModel:
     """Parse and validate a JSON model document."""
-    doc = _json_document(data, _KernelDecoder)
+    doc = _streamed_document(data)
+    if doc is None:
+        doc = _json_document(data)
     if not isinstance(doc, dict):
         _fail("$", "model document must be a JSON object")
     for key in doc:

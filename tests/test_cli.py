@@ -643,6 +643,24 @@ class TestUnwritableOut:
         assert lines == [lines[0]] and lines[0].startswith(f"error: cannot write {out_path}: ")
 
 
+# An empty path, which opens the working directory, for each path a command takes.
+EMPTY_PATHS = {
+    "analyze-model": (["analyze", "--model", ""], "read"),
+    "analyze-table": (["analyze", "--table", ""], "read"),
+    "analyze-out": ([*WRITING_COMMANDS["analyze-model"], "--out", ""], "write"),
+    "validate": (["validate", "--model", ""], "read"),
+    "sample": (["sample", "--model", "", "--variable", "screen"], "read"),
+}
+
+
+@pytest.mark.parametrize(("argv", "verb"), EMPTY_PATHS.values(), ids=EMPTY_PATHS.keys())
+def test_an_empty_path_exits_2_and_is_named(argv, verb, capsysbinary):
+    code, out, err = run(argv, capsysbinary)
+    assert (code, out) == (2, b"")
+    lines = err.decode().splitlines()
+    assert lines == [lines[0]] and lines[0].startswith(f"error: cannot {verb} '': ")
+
+
 def _run_to_stdout(argv, stdout, buffering):
     """``python -m contextprob`` in a fresh interpreter, writing to ``stdout``."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}

@@ -267,20 +267,50 @@ def _edge_of_band_models(draw):
 
 
 # How a dense model document is spoiled, each as both parse paths must judge it.
-_ENTRY_FAULTS = {"true": True, "false": False, "string": "x", "null": None, "nan": math.nan}
+_ENTRY_FAULTS = {
+    "true": True, "false": False, "string": "x", "null": None, "nan": math.nan,
+    "nested-list": [0.5], "bracket-in-a-string": "a]b",
+}
+# A top-level token replaced by an "x": where it may be (its group), for each such fault.
+_TOP_KEY = '"(?:' + "|".join(sorted(model_io._MODEL_KEYS)) + ')"'
+_STRAYS = {
+    "stray-brace": r"^(\{)",
+    "stray-colon": _TOP_KEY + "(:)",
+    "stray-kernel-colon": r'"kernel"(:)',
+    "stray-kernel-bracket": r'"kernel": (\[)',
+    "stray-comma-before-a-key": "(,) " + _TOP_KEY,
+    "stray-comma-between-rows": r"\](,) \[",
+}
 _DOCUMENT_FAULTS = [
-    *_ENTRY_FAULTS, "ragged", "narrow", "one-row-short", "empty", "repeated-key",
-    "deep-in-a-row", "deep-in-options", "trailing", "kernel-null",
+    *_ENTRY_FAULTS, "ragged", "narrow", "one-row-short", "empty", "empty-rows", "repeated-key",
+    "deep-in-a-row", "deep-in-options", "trailing", *_STRAYS, "kernel-null",
+    "decoy-label", "decoy-escaped", "bad-utf8-before", "bad-utf8-in-a-row", "bad-utf8-after",
 ]
+# A point name for each fault that puts one, and whether the points come before the kernel.
+_POINT_FAULTS = {
+    "decoy-label": ("kernel", True),
+    "decoy-escaped": ('a "kernel', True),
+    "bad-utf8-before": ("BAD", True),
+    "bad-utf8-after": ("BAD", False),
+}
+# Point names and variable labels, ASCII or not, on either side of the kernel.
+_LABELS = [("left", "right", "up", "down", "p"), ("gauche", "droite", "上", "下", "点")]
 
 
 @st.composite
 def _spoiled_dense_documents(draw):
-    """The text of a dense model of 2 to 8 points, whole or with one fault."""
+    """A dense model of 2 to 8 points, whole or with one fault, as bytes or text,
+    its kernel at any place among the top-level keys; and whether it is whole."""
     n = draw(st.integers(2, 8))
     kernel = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.05, 1.0, (n, n))
     kernel = (kernel / kernel.sum(axis=1, keepdims=True)).tolist()
+    left, right, up, down, point = draw(st.sampled_from(_LABELS))
     doc = uniform_model(n, kernel)
+    doc["points"] = [f"{point}{i}" for i in range(n)]
+    doc["variables"] = {
+        "path": [(left, right)[i % 2] for i in range(n)],
+        "screen": [(up, down)[(i + i // 2) % 2] for i in range(n)],
+    }
     fault = draw(st.sampled_from([None, *_DOCUMENT_FAULTS]))
     i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
     if fault in _ENTRY_FAULTS:
@@ -293,25 +323,44 @@ def _spoiled_dense_documents(draw):
         del kernel[i]
     elif fault == "empty":
         doc["kernel"] = []
+    elif fault == "empty-rows":
+        doc["kernel"] = [[] for _ in kernel]
     elif fault == "deep-in-a-row":
         kernel[i][j] = "DEEP"
     elif fault == "deep-in-options":
         doc["options"] = {"seed": "DEEP"}
     elif fault == "kernel-null":
         doc["kernel"] = None
-    text = json.dumps(doc).replace('"DEEP"', DEEPLY_NESTED[0])
+    elif fault == "bad-utf8-in-a-row":
+        kernel[i][j] = "BAD"
+    elif fault in _POINT_FAULTS:
+        doc["points"][i] = _POINT_FAULTS[fault][0]
+    # The kernel first, last or between any two other keys, on the fault's side of the points.
+    ahead = _POINT_FAULTS[fault][1] if fault in _POINT_FAULTS else draw(st.booleans())
+    keys = ["points", "kernel"] if ahead else ["kernel", "points"]
+    for key in doc:
+        if key not in keys:
+            keys.insert(draw(st.integers(0, len(keys))), key)
+    doc = {key: doc[key] for key in keys}
+    text = json.dumps(doc, ensure_ascii=draw(st.booleans())).replace('"DEEP"', DEEPLY_NESTED[0])
     if fault == "repeated-key":
         key = draw(st.sampled_from(sorted(doc)))
         text = f"{{{json.dumps(key)}: {json.dumps(doc[key])}, {text[1:]}"
     elif fault == "trailing":
         text += draw(st.sampled_from([" x", "{}", ",", "]", " 1", "\n{"]))
-    return text
+    elif fault in _STRAYS:
+        at = draw(st.sampled_from([m.start(1) for m in re.finditer(_STRAYS[fault], text)]))
+        text = text[:at] + "x" + text[at + 1:]
+    if fault and fault.startswith("bad-utf8"):
+        return text.encode().replace(b'"BAD"', b'"\xff"'), False
+    data = text.encode() if draw(st.booleans()) else text
+    return data, fault is None
 
 
-def _loading(text):
+def _loading(data):
     """What ``load_model`` makes of a document: every field of the model, or its error."""
     try:
-        model = load_model(text)
+        model = load_model(data)
     except InvariantViolation as exc:
         return "refused", exc.path, str(exc)
     return (
@@ -751,22 +800,26 @@ class TestLoadModel:
         assert info.value.path == "kernel.row[59][59]"
         assert peak < 4 * len(raw) + 1_000_000
 
-    @given(text=_spoiled_dense_documents())
-    @settings(max_examples=300, deadline=None)
-    def test_a_kernel_read_while_parsing_loads_as_the_plain_parse_does(self, text):
-        plain = _loading(text)  # small, so parsed the plain way
+    @given(case=_spoiled_dense_documents())
+    @settings(max_examples=500, deadline=None)
+    def test_a_kernel_read_while_parsing_loads_as_the_plain_parse_does(self, case):
+        data, whole = case
+        plain = _loading(data)  # small, so parsed the plain way
         with mock.patch.object(model_io, "_STREAMED_KERNEL_CHARS", 0):
-            assert _loading(text) == plain
+            assert _loading(data) == plain
+            if whole:  # wherever the kernel is, and whatever the labels, it is read row by row
+                assert type(model_io._streamed_document(data)["kernel"]) is model_io._KernelRows
 
-    def test_a_dense_kernel_is_read_while_parsing(self):
+    @pytest.mark.parametrize("as_text", [False, True], ids=["bytes", "str"])
+    def test_a_dense_kernel_is_read_while_parsing(self, as_text):
         n = 5
-        raw = dense_model(n).decode()
+        raw = dense_model(n)
         with mock.patch.object(model_io, "_STREAMED_KERNEL_CHARS", 0):
-            doc = json.loads(raw, cls=model_io._KernelDecoder, object_pairs_hook=model_io._unique_keys)
+            doc = model_io._streamed_document(raw.decode() if as_text else raw)
         rows, plain = doc.pop("kernel"), json.loads(raw)
         assert type(rows) is model_io._KernelRows and (len(rows), rows.width) == (n, n)
         assert list(rows) == plain.pop("kernel")
-        assert doc == plain
+        assert list(doc.items()) == list(plain.items())
 
     def test_true_in_a_large_dense_kernel_is_named(self):
         doc = json.loads(large_dense_model())
@@ -777,14 +830,18 @@ class TestLoadModel:
             load_model(raw)
         assert str(info.value) == "kernel.row[170][33]: expected a number, got True"
 
-    def test_a_large_dense_document_loads_within_its_text_and_matrix(self):
+    @pytest.mark.parametrize("as_text", [False, True], ids=["bytes", "str"])
+    def test_a_large_dense_document_loads_within_its_matrix(self, as_text):
         raw = large_dense_model()
+        if as_text:
+            raw = raw.decode()
         load_model(raw)  # the first call also allocates one-off state
-        # Each row is converted as it is parsed, so the parsed rows, four times
-        # the matrix as Python floats, are never held together.
-        assert traced_peak(load_model, raw) < len(raw) + 1.25 * 240 * 240 * 8
+        # Each row is converted as it is read from its own slice of the document,
+        # so neither the whole text nor the parsed rows, four times the matrix
+        # as Python floats, are ever held.
+        assert traced_peak(load_model, raw) < 1.25 * 240 * 240 * 8 + 64 * 1024
 
-    def test_a_large_dense_document_is_parsed_in_one_traced_span(self):
+    def test_a_large_dense_document_is_read_inside_the_load_model_span(self):
         tracer = perfbench_spans().Tracer()
         tracer.install()
         try:
@@ -792,7 +849,8 @@ class TestLoadModel:
         finally:
             tracer.uninstall()
         assert model.kernel.matrix.shape == (240, 240)
-        assert tracer.names == ["model_io.load_model", "model_io.json_loads"]
+        # The kernel is read without a json.loads call, so no parse span.
+        assert tracer.names == ["model_io.load_model"]
 
     @pytest.mark.parametrize("n", [2000, 4000])
     def test_loading_a_kernel_free_document_makes_no_per_point_objects(self, n):
