@@ -137,27 +137,14 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return obj
 
 
-class _KernelRows:
-    """A kernel read while parsing: ``count`` rows of ``width`` floats in ``flat``."""
-
-    def __init__(self, flat: array.array, count: int, width: int):
-        self.flat, self.count, self.width = flat, count, width
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __iter__(self):
-        """The rows as lists, for the walk that names a bad one."""
-        width = self.width
-        for row in range(self.count):
-            yield self.flat[row * width:(row + 1) * width].tolist()
-
-
 class _Unstreamed(Exception):
     """The document is not one :func:`_streamed_document` reads on its own."""
 
 
-_KERNEL_KEY = '"kernel"'
+# The kernel's key, colon and "[", in text and in bytes.  A variable named kernel
+# ahead of the key matches too, and its document takes the plain parse.
+_KERNEL_KEY = re.compile(r'"kernel"[ \t\n\r]*:[ \t\n\r]*\[')
+_BYTES_KERNEL_KEY = re.compile(_KERNEL_KEY.pattern.encode())
 _SPACE = json.decoder.WHITESPACE.match  # what the plain parse skips between tokens
 _BYTES_SPACE = re.compile(rb"[ \t\n\r]*").match  # the same, in bytes
 
@@ -165,27 +152,29 @@ _BYTES_SPACE = re.compile(rb"[ \t\n\r]*").match  # the same, in bytes
 def _streamed_document(data: bytes | str) -> dict[str, Any] | None:
     """A model document parsed as :func:`_json_document` parses it, except that
     its top-level ``"kernel"`` is read one row at a time, straight from
-    ``data``, into one float buffer, a :class:`_KernelRows`.  So neither the
-    whole text nor all the rows as Python floats are ever held.  None for a
-    document under ``_STREAMED_KERNEL_CHARS``, or one the walk does not read
-    on its own.
+    ``data``, into one float buffer, its square matrix.  So neither the whole
+    text nor all the rows as Python floats are ever held.  None for a document
+    under ``_STREAMED_KERNEL_CHARS``, or one the walk does not read on its own.
 
-    Only the text before the first ``"kernel"`` and the text after the kernel
-    are decoded whole, and each row from its own slice, up to its first
-    ``]``, as ASCII.  Every cut falls on an ASCII byte, so the pieces decode if
-    and only if the whole does.  The C scanner reads every value.  Anything
-    the walk does not expect, from a first ``"kernel"`` that is no top-level
-    key to bad UTF-8 or a row that is not a flat list of numbers as long as the
-    first, leaves the document to the plain parse: a refused document gets its
-    error, and an odd kernel reaches ``load_model`` as parsed rows, whose walk
-    names the bad one.
+    The kernel starts at the first ``"kernel"`` followed by a colon and a
+    ``[``, so a point or label named ``kernel`` is passed over.  Only the text
+    before that match and the text after the kernel are decoded whole, and
+    each row from its own slice, up to its first ``]``, as ASCII.  Every cut
+    falls on an ASCII byte, so the pieces decode if and only if the whole
+    does.  The C scanner reads every value.  Anything the walk does not
+    expect, from a match that is no top-level key (a variable named
+    ``kernel`` ahead of the key) to bad UTF-8 or a kernel that is not a
+    square of numbers, leaves the document to the plain parse: a refused
+    document gets its error, and an odd kernel reaches ``load_model`` as
+    parsed rows, whose walk names the bad one.
     """
     if len(data) < _STREAMED_KERNEL_CHARS:
         return None
     is_text = isinstance(data, str)
-    start = data.find(_KERNEL_KEY if is_text else _KERNEL_KEY.encode())
-    if start < 0:
+    key = (_KERNEL_KEY if is_text else _BYTES_KERNEL_KEY).search(data)
+    if key is None:
         return None
+    start = key.start()
     decoder = json.JSONDecoder(object_pairs_hook=_unique_keys)
     pairs: list[tuple[str, Any]] = []
     try:
@@ -199,8 +188,8 @@ def _streamed_document(data: bytes | str) -> dict[str, Any] | None:
             if head[i:i + 1] != ",":
                 raise _Unstreamed
             i = _SPACE(head, i + 1).end()
-        rows, end = _kernel_rows(data, start + len(_KERNEL_KEY), decoder.scan_once)
-        pairs.append(("kernel", rows))
+        matrix, end = _kernel_rows(data, key.end(), decoder.scan_once)
+        pairs.append(("kernel", matrix))
         tail = data[end:] if is_text else data[end:].decode()
         i = _SPACE(tail).end()
         while tail[i:i + 1] == ",":
@@ -226,20 +215,14 @@ def _member(s: str, i: int, decoder: json.JSONDecoder, pairs: list[tuple[str, An
     return _SPACE(s, i).end()
 
 
-def _kernel_rows(data: bytes | str, i: int, scan_once) -> tuple[_KernelRows, int]:
-    """The kernel array after the key that ends at ``data[i]``, read one row at a
-    time: its rows, and the index just past its ``]``."""
+def _kernel_rows(data: bytes | str, i: int, scan_once) -> tuple[np.ndarray, int]:
+    """The kernel array whose ``[`` is just before ``data[i]``, read one row at a
+    time: its square float matrix, and the index just past its ``]``."""
     if isinstance(data, str):
-        space, colon, opening, closing, comma = _SPACE, ":", "[", "]", ","
+        space, closing, comma = _SPACE, "]", ","
     else:
-        space, colon, opening, closing, comma = _BYTES_SPACE, b":", b"[", b"]", b","
+        space, closing, comma = _BYTES_SPACE, b"]", b","
     i = space(data, i).end()
-    if data[i:i + 1] != colon:
-        raise _Unstreamed
-    i = space(data, i + 1).end()
-    if data[i:i + 1] != opening:
-        raise _Unstreamed
-    i = space(data, i + 1).end()
     flat = array.array("d")
     count = width = 0
     while data[i:i + 1] != closing:
@@ -260,7 +243,8 @@ def _kernel_rows(data: bytes | str, i: int, scan_once) -> tuple[_KernelRows, int
         flat.fromlist(row)  # TypeError or OverflowError on an entry no float holds
         count, width = count + 1, len(row)
         i = space(data, end).end()
-    return _KernelRows(flat, count, width), i + 1
+    # ValueError when not square: the plain parse's walk names the row.
+    return np.frombuffer(flat).reshape(count, count), i + 1
 
 
 def _json_document(data: bytes | str) -> Any:
@@ -371,10 +355,18 @@ def load_model(data: bytes | str) -> ExperimentModel:
     kernel = None
     raw_kernel = doc.pop("kernel", None)
     if raw_kernel is not None:
-        if not isinstance(raw_kernel, (list, _KernelRows)) or len(raw_kernel) != size:
+        if not isinstance(raw_kernel, (list, np.ndarray)) or len(raw_kernel) != size:
             _fail("kernel", f"expected {size} rows")
-        # Converted whole; walked to the first bad row only when that fails.
-        matrix = _kernel_matrix(raw_kernel, size)
+        if type(raw_kernel) is np.ndarray:  # read while parsing: a square float matrix
+            matrix = raw_kernel
+        else:  # checked whole, converted in one call, walked to the bad row only when that fails
+            matrix = None
+            rows_fit = all(isinstance(row, list) and len(row) == size for row in raw_kernel)
+            if rows_fit and _real_types(set(map(type, itertools.chain.from_iterable(raw_kernel)))):
+                try:
+                    matrix = np.array(raw_kernel, dtype=float)
+                except OverflowError:  # an integer too large for a float; the walk names it
+                    pass
         if matrix is None:
             for i, row in enumerate(raw_kernel):
                 if not isinstance(row, list) or len(row) != size:
@@ -395,34 +387,6 @@ def load_model(data: bytes | str) -> ExperimentModel:
         outcome_name=outcome_name,
         options=options,
     )
-
-
-def _kernel_matrix(rows: list | _KernelRows, size: int) -> np.ndarray | None:
-    """A parsed kernel as the float matrix ``np.array(rows, dtype=float)``;
-    None when a row does not fit or an entry is not a number that fits a float.
-
-    ``array.array`` converts each row in one pass and stops at text, null, a
-    list, an object or an integer too large for a float, so no array is sized
-    by a bad entry.  It takes a bool as 0 or 1, so entry types are read only in
-    the rows holding a 0 or a 1.  That suffices for JSON values only: a
-    library caller's row could hold any object with ``__float__``.  Rows read
-    while parsing hold numbers only, and so fail by their width alone.
-    """
-    if type(rows) is _KernelRows:
-        return np.frombuffer(rows.flat).reshape(size, size) if rows.width == size else None
-    if not all(isinstance(row, list) and len(row) == size for row in rows):
-        return None
-    flat = array.array("d")
-    try:
-        for row in rows:
-            flat.fromlist(row)
-    except (TypeError, OverflowError):
-        return None
-    matrix = np.frombuffer(flat).reshape(size, size)
-    marked = ((matrix == 0.0) | (matrix == 1.0)).any(axis=1).tolist()
-    if all(_real_types(set(map(type, row))) for row in itertools.compress(rows, marked)):
-        return matrix
-    return None
 
 
 def _load_options(raw: Any) -> AnalysisOptions:
